@@ -198,14 +198,17 @@ def label_days(
         raise ValueError(f"window must be >= 1, got {window}")
     if fraction <= 0:
         raise ValueError(f"fraction must be positive, got {fraction}")
+    if min_history < 1:
+        raise ValueError(f"min_history must be >= 1, got {min_history}")
     le = np.array([r.le_count for r in series.records], dtype=np.float64)
     labels = np.full(len(le), UNLABELED, dtype=np.int8)
-    for i in range(len(le)):
-        if i < min_history:
-            continue
-        history = le[max(0, i - window) : i]
-        threshold = fraction * history.mean()
-        labels[i] = 1 if le[i] > threshold else 0
+    # Prefix sums of integer counts are exact, so each mean equals the
+    # per-day history.mean() bit for bit.
+    prefix = np.concatenate(([0.0], np.cumsum(le)))
+    days = np.arange(min_history, len(le))
+    start = np.maximum(days - window, 0)
+    history_mean = (prefix[days] - prefix[start]) / (days - start)
+    labels[days] = le[days] > fraction * history_mean
     return RiskLabels(
         series.patient_id,
         series.dates,

@@ -44,6 +44,9 @@ def _op_checks(rng: np.random.Generator) -> list[tuple[str, object, Tensor]]:
     positive = Tensor(rng.random(7) + 0.5)
     gather_idx = np.array([[0, 1, 2], [3, 4, 5], [2, 3, 4]])
     mix = Tensor(rng.standard_normal((5, 3)))
+    # built from the draws above so the model checks see the same rng state
+    ln_gamma, ln_beta = Tensor(mix.data[0] + 1.0), bias
+    ln_eps = 1e-5
 
     return [
         ("add_broadcast", lambda t: T.tsum((t + Tensor(np.ones((1, 3)))) * 2.0), a53),
@@ -56,9 +59,17 @@ def _op_checks(rng: np.random.Generator) -> list[tuple[str, object, Tensor]]:
         ("reshape", lambda t: T.tsum(T.power(T.reshape(t, (3, 3)), 2.0)), vec),
         ("concat", lambda t: T.tsum(T.concat([t, T.mul(t, t)], axis=1)), pieces),
         ("take_last", lambda t: T.tsum(T.power(T.take_last(t, gather_idx), 2.0)), rows),
+        (
+            "take_last_noncontiguous",
+            lambda t: T.tsum(T.power(T.take_last(T.transpose_last2(t), gather_idx), 2.0)),
+            grid,
+        ),
         ("sum_axis", lambda t: T.tsum(T.power(T.tsum(t, axes=0), 2.0)), a53),
         ("mean_axes", lambda t: T.tsum(T.power(T.mean(t, axes=(0, 1), keepdims=True), 2.0)), a53),
         ("softmax", lambda t: T.tsum(T.mul(T.softmax(t), mix)), a53),
+        ("layer_norm_input", lambda t: T.tsum(T.mul(T.layer_norm(t, ln_gamma, ln_beta, ln_eps), mix)), a53),
+        ("layer_norm_gamma", lambda t: T.tsum(T.mul(T.layer_norm(a53, t, ln_beta, ln_eps), mix)), ln_gamma),
+        ("layer_norm_beta", lambda t: T.tsum(T.mul(T.layer_norm(a53, ln_gamma, t, ln_eps), mix)), ln_beta),
         ("sigmoid", lambda t: T.tsum(T.sigmoid(t)), vec),
         ("relu", lambda t: T.tsum(T.relu(t)), vec),
         ("log", lambda t: T.tsum(T.log(t)), positive),

@@ -27,11 +27,11 @@ from .tensor import (
     conv1d,
     conv2d,
     dropout,
+    layer_norm,
     log,
     matmul,
     mean,
     mul,
-    power,
     relu,
     reshape,
     sigmoid,
@@ -233,13 +233,6 @@ def cvt_conv(x: Tensor, kernel: Tensor) -> Tensor:
     return conv2d(x, kernel)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    mu = mean(x, axes=-1, keepdims=True)
-    centered = x - mu
-    var = mean(mul(centered, centered), axes=-1, keepdims=True)
-    return mul(centered, power(var + LAYERNORM_EPS, -0.5)) * gamma + beta
-
-
 def mhsa_encoder(
     x: Tensor,
     cfg: ModelConfig,
@@ -256,7 +249,7 @@ def mhsa_encoder(
     scale = 1.0 / math.sqrt(cfg.head_dim)
     for layer in range(cfg.encoder_layers):
         base = f"encoder{layer}"
-        normed = layer_norm(x, params[f"{base}.ln1.gamma"], params[f"{base}.ln1.beta"])
+        normed = layer_norm(x, params[f"{base}.ln1.gamma"], params[f"{base}.ln1.beta"], LAYERNORM_EPS)
         head_outs = []
         for j in range(cfg.heads):
             q = matmul(normed, params[f"{base}.attn.head{j}.wq"])
@@ -269,7 +262,7 @@ def mhsa_encoder(
         attended = matmul(concat(head_outs, axis=-1), params[f"{base}.attn.wo"])
         x = x + dropout(attended, cfg.dropout_rate, training, rng)
 
-        normed = layer_norm(x, params[f"{base}.ln2.gamma"], params[f"{base}.ln2.beta"])
+        normed = layer_norm(x, params[f"{base}.ln2.gamma"], params[f"{base}.ln2.beta"], LAYERNORM_EPS)
         hidden = relu(matmul(normed, params[f"{base}.ffn.w1"]) + params[f"{base}.ffn.b1"])
         ff = matmul(hidden, params[f"{base}.ffn.w2"]) + params[f"{base}.ffn.b2"]
         x = x + dropout(ff, cfg.dropout_rate, training, rng)

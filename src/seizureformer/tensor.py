@@ -5,8 +5,12 @@ closure; calling ``backward()`` on a scalar result walks the recorded graph
 in reverse topological order and accumulates ``.grad`` on every tensor that
 requires gradients.  The op set is deliberately small: exactly what a
 patch-attention classifier needs (matmul, 1D/2D cross-correlation, softmax,
-sigmoid/relu, reductions, concat, gather, dropout) plus a finite-difference
-checker.
+sigmoid/relu, reductions, concat, gather, dropout, layer norm) plus a
+finite-difference checker.
+
+Inside a ``with no_grad():`` block operations record nothing: results carry
+no parents and no closure, so each intermediate is freed as soon as the next
+operation has consumed it.  Values are the same bytes either way.
 
 Numerical policy: all values are float64, and any operation that produces a
 NaN/Inf from finite inputs raises ``FloatingPointError`` instead of letting
@@ -15,13 +19,29 @@ the poison propagate.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 Array = np.ndarray
 
 _AxesArg = int | Sequence[int] | None
+
+
+_recording: ContextVar[bool] = ContextVar("recording", default=True)
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Run operations without recording a graph; restores the previous mode on exit."""
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
 
 
 def _as_float64(data) -> Array:
@@ -155,7 +175,7 @@ def _result(data: Array, parents: tuple[Tensor, ...], vjp: Callable[[Array], Non
     out.data = data
     out.grad = None
     out._backward_done = False
-    if any(p.requires_grad for p in parents):
+    if _recording.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._prev = parents
         out._vjp = vjp
@@ -340,7 +360,7 @@ def take_last(a: Tensor, idx: Array) -> Tensor:
 
     def vjp(g: Array) -> None:
         if a.requires_grad:
-            ga = np.zeros_like(a.data)
+            ga = np.zeros(a.data.shape)  # C-contiguous, so the reshape below is a view
             flat = ga.reshape(-1, length)
             rows = flat.shape[0]
             gb = g.reshape(rows, idx.size)
@@ -420,6 +440,37 @@ def softmax(a: Tensor) -> Tensor:
             _accum(a, data * (g - inner))
 
     return _result(data, (a,), vjp)
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
+    """Normalize the last axis to zero mean and unit variance, then scale by
+    ``gamma`` and shift by ``beta`` (both shaped like that axis).
+
+    One op in place of the composed mean/variance graph; the backward is the
+    closed form inv * (dxh - mean(dxh) - xh * mean(dxh * xh)) with
+    dxh = g * gamma.
+    """
+    d = x.data.shape[-1]
+    if gamma.data.shape != (d,) or beta.data.shape != (d,):
+        raise ValueError(f"layer_norm gamma and beta must have shape ({d},)")
+    # in-place updates on fresh arrays: each new full-size temporary costs page faults
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = np.power((xhat * xhat).mean(axis=-1, keepdims=True) + eps, -0.5)
+    xhat *= inv
+    data = xhat * gamma.data
+    data += beta.data
+
+    def vjp(g: Array) -> None:
+        if gamma.requires_grad:
+            _accum(gamma, (g * xhat).reshape(-1, d).sum(axis=0))
+        if beta.requires_grad:
+            _accum(beta, g.reshape(-1, d).sum(axis=0))
+        if x.requires_grad:
+            dxhat = g * gamma.data
+            inner = dxhat.mean(axis=-1, keepdims=True) + xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            _accum(x, inv * (dxhat - inner))
+
+    return _result(data, (x, gamma, beta), vjp)
 
 
 def log(a: Tensor) -> Tensor:
@@ -519,29 +570,27 @@ def conv1d(a: Tensor, weight: Tensor, bias: Tensor | None = None, padding: str =
 
     pad_spec = [(0, 0)] * (a.ndim - 1) + [(left, right)]
     xp = np.pad(a.data, pad_spec)
-    out = np.zeros(a.data.shape[:-1] + (out_len, n_feat))
-    for j in range(k):
-        out += xp[..., j : j + out_len, None] * weight.data[:, j]
+    # im2col: one row of k taps per output position, then a single GEMM
+    cols = sliding_window_view(xp, k, axis=-1).reshape(-1, k)
+    out = cols @ weight.data.T
     if bias is not None:
-        out = out + bias.data
+        out += bias.data
+    out = out.reshape(a.data.shape[:-1] + (out_len, n_feat))
 
     parents = (a, weight) if bias is None else (a, weight, bias)
 
     def vjp(g: Array) -> None:
+        g2 = g.reshape(-1, n_feat)
         if bias is not None and bias.requires_grad:
-            _accum(bias, g.reshape(-1, n_feat).sum(axis=0))
+            _accum(bias, g2.sum(axis=0))
         if weight.requires_grad:
-            gw = np.zeros_like(weight.data)
-            g2 = g.reshape(-1, n_feat)
-            for j in range(k):
-                gw[:, j] = g2.T @ xp[..., j : j + out_len].reshape(-1)
-            _accum(weight, gw)
+            _accum(weight, g2.T @ cols)
         if a.requires_grad:
-            gxp = np.zeros_like(xp)
+            gcols = (g2 @ weight.data).reshape(a.data.shape[:-1] + (out_len, k))
+            gxp = np.zeros(xp.shape)
             for j in range(k):
-                gxp[..., j : j + out_len] += g @ weight.data[:, j]
-            ga = gxp[..., left : left + length] if (left or right) else gxp
-            _accum(a, ga)
+                gxp[..., j : j + out_len] += gcols[..., j]
+            _accum(a, gxp[..., left : left + length])
 
     return _result(out, parents, vjp)
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import metrics
 from .data import DataError, WindowSample, compute_pos_weight, samples_to_arrays
 from .model import weighted_bce
-from .tensor import Tensor, zero_grad
+from .tensor import Tensor, no_grad, zero_grad
 
 REFERENCE_BATCH_SIZE = 2048  # full-scale reference preset; the default below is laptop-sized
 
@@ -103,16 +103,20 @@ def optimizer_step(
 
 
 def evaluate(model, samples: list[WindowSample], batch_size: int = 512) -> metrics.MetricsReport:
-    """Eval-mode scores over all samples plus both AUCs; needs both classes."""
+    """Eval-mode scores over all samples plus both AUCs; needs both classes.
+
+    The forward passes run under ``no_grad``, so no graph is kept.
+    """
     if not samples:
         raise DataError("cannot evaluate an empty sample set")
     x, y = samples_to_arrays(samples)
     if len(np.unique(y)) < 2:
         raise DataError(f"single-class evaluation set (pos={int(y.sum())}, neg={int(len(y) - y.sum())})")
     scores = np.empty(len(y))
-    for start in range(0, len(y), batch_size):
-        out = model.forward(x[start : start + batch_size], training=False)
-        scores[start : start + batch_size] = out.data.reshape(-1)
+    with no_grad():
+        for start in range(0, len(y), batch_size):
+            out = model.forward(x[start : start + batch_size], training=False)
+            scores[start : start + batch_size] = out.data.reshape(-1)
     return metrics.report(scores, y)
 
 

@@ -2,11 +2,17 @@
 
 Everything here is written the slow, obvious way (explicit loops, manual
 padding, pairwise comparisons) so it shares no code path with the package.
+The exceptions are earlier versions of rewritten kernels, kept verbatim as
+oracles for their replacements: the per-tap ``conv1d``, the composed
+``layer_norm`` (built from the package's primitive ops rather than the fused
+op) and the per-day ``label_days`` loop.
 """
 
 import math
 
 import numpy as np
+
+from seizureformer import tensor as T
 
 
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -42,6 +48,62 @@ def naive_conv1d(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None, padding:
                     acc += x[src] * w[f, j]
             out[t, f] = acc + (bias[f] if bias is not None else 0.0)
     return out
+
+
+def _conv1d_padding(k: int, padding: str) -> tuple[int, int]:
+    return ((k - 1) // 2, k // 2) if padding == "same" else (0, 0)
+
+
+def per_tap_conv1d(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None, padding: str) -> np.ndarray:
+    """conv1d over (..., L) as one broadcast multiply per kernel tap."""
+    n_feat, k = w.shape
+    left, right = _conv1d_padding(k, padding)
+    out_len = x.shape[-1] + left + right - k + 1
+    xp = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(left, right)])
+    out = np.zeros(x.shape[:-1] + (out_len, n_feat))
+    for j in range(k):
+        out += xp[..., j : j + out_len, None] * w[:, j]
+    if bias is not None:
+        out = out + bias
+    return out
+
+
+def per_tap_conv1d_vjp(x: np.ndarray, w: np.ndarray, padding: str, g: np.ndarray):
+    """(d_input, d_weight, d_bias) of per_tap_conv1d for upstream gradient g."""
+    n_feat, k = w.shape
+    length = x.shape[-1]
+    left, right = _conv1d_padding(k, padding)
+    out_len = length + left + right - k + 1
+    xp = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(left, right)])
+    g2 = g.reshape(-1, n_feat)
+    gw = np.zeros_like(w)
+    for j in range(k):
+        gw[:, j] = g2.T @ xp[..., j : j + out_len].reshape(-1)
+    gxp = np.zeros_like(xp)
+    for j in range(k):
+        gxp[..., j : j + out_len] += g @ w[:, j]
+    return gxp[..., left : left + length], gw, g2.sum(axis=0)
+
+
+def composed_layer_norm(x: T.Tensor, gamma: T.Tensor, beta: T.Tensor, eps: float) -> T.Tensor:
+    """Layer norm over the last axis as a graph of primitive ops."""
+    mu = T.mean(x, axes=-1, keepdims=True)
+    centered = x - mu
+    var = T.mean(T.mul(centered, centered), axes=-1, keepdims=True)
+    return T.mul(centered, T.power(var + eps, -0.5)) * gamma + beta
+
+
+def loop_label_days(le: np.ndarray, window: int, fraction: float, min_history: int) -> np.ndarray:
+    """Per-day labels: 1 iff le[i] > fraction * mean of the prior window, -1 before min_history."""
+    le = np.asarray(le, dtype=np.float64)
+    labels = np.full(len(le), -1, dtype=np.int8)
+    for i in range(len(le)):
+        if i < min_history:
+            continue
+        history = le[max(0, i - window) : i]
+        threshold = fraction * history.mean()
+        labels[i] = 1 if le[i] > threshold else 0
+    return labels
 
 
 def naive_conv2d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:

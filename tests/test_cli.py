@@ -99,6 +99,13 @@ class TestTrainCommand:
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nope.csv"), "--horizon", "1"]) == 2
 
+    def test_zero_min_history_rejected(self, synth_csv, tmp_path, capsys):
+        code = main(
+            ["train", "--data", str(synth_csv), "--horizon", "1", "--out-dir", str(tmp_path), "--set", "min_history=0"]
+        )
+        assert code == 1
+        assert "min_history" in capsys.readouterr().err
+
 
 class TestEvalCommand:
     def test_roundtrip(self, synth_csv, tmp_path, capsys):

@@ -1,7 +1,11 @@
 import datetime
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from seizureformer import data
@@ -16,6 +20,8 @@ from seizureformer.data import (
     split_chronological,
     zscore_normalize,
 )
+
+from oracles import loop_label_days
 
 DAY0 = datetime.date(2020, 1, 1)
 
@@ -158,6 +164,26 @@ class TestLabeling:
     def test_empty_errors(self):
         with pytest.raises(DataError):
             label_days(PatientSeries("p", []))
+
+    def test_min_history_below_one_rejected(self):
+        series = make_series([0] * 10, le=[1] * 10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="min_history"):
+                label_days(series, min_history=0)
+
+    @given(
+        le=st.lists(st.one_of(st.integers(0, 12), st.integers(0, 10**6)), min_size=1, max_size=200),
+        window=st.integers(1, 80),
+        fraction=st.one_of(st.sampled_from([0.25, 0.5, 0.7, 1.0, 2.0]), st.floats(0.01, 5.0)),
+        min_history=st.integers(1, 90),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_prefix_sums_match_per_day_loop(self, le, window, fraction, min_history):
+        labels = label_days(make_series([0] * len(le), le=le), window, fraction, min_history).labels
+        expected = loop_label_days(le, window, fraction, min_history)
+        assert labels.dtype == expected.dtype
+        assert labels.tobytes() == expected.tobytes()
 
 
 def build_samples(n_days=100, lookback=30, horizon=7, le=None, skip_days=(), aggregation="any"):

@@ -7,7 +7,17 @@ from numpy.testing import assert_allclose
 from seizureformer import tensor as T
 from seizureformer.tensor import Tensor, create, grad_check
 
-from oracles import naive_conv1d, naive_conv2d, naive_matmul
+from oracles import (
+    composed_layer_norm,
+    naive_conv1d,
+    naive_conv2d,
+    naive_matmul,
+    per_tap_conv1d,
+    per_tap_conv1d_vjp,
+)
+
+# leading batch axes for the kernel-vs-oracle sweeps
+lead_shapes = st.lists(st.integers(1, 3), min_size=0, max_size=2).map(tuple)
 
 
 class TestCreate:
@@ -84,6 +94,113 @@ class TestConv1d:
     def test_kernel_longer_than_input(self):
         with pytest.raises(ValueError, match="taps"):
             T.conv1d(Tensor([1.0, 2.0]), Tensor(np.ones((1, 3))), padding="valid")
+
+
+class TestConv1dMatchesPerTap:
+    """The single-GEMM conv1d against the per-tap loop it replaced."""
+
+    @given(
+        lead=lead_shapes, k=st.integers(1, 7), extra=st.integers(0, 6), feats=st.integers(1, 4),
+        padding=st.sampled_from(["same", "valid"]), with_bias=st.booleans(), seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_forward_and_vjps(self, lead, k, extra, feats, padding, with_bias, seed):
+        rng = np.random.default_rng(seed)
+        length = k + extra if padding == "valid" else 1 + extra
+        x = rng.standard_normal(lead + (length,))
+        w = rng.standard_normal((feats, k))
+        b = rng.standard_normal(feats) if with_bias else None
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        bt = Tensor(b, requires_grad=True) if with_bias else None
+        out = T.conv1d(xt, wt, bt, padding=padding)
+        assert_allclose(out.data, per_tap_conv1d(x, w, b, padding), rtol=0, atol=1e-12)
+
+        g = rng.standard_normal(out.shape)
+        T.tsum(T.mul(out, Tensor(g))).backward()
+        gx, gw, gb = per_tap_conv1d_vjp(x, w, padding, g)
+        assert_allclose(xt.grad, gx, rtol=0, atol=1e-12)
+        assert_allclose(wt.grad, gw, rtol=0, atol=1e-12)
+        if with_bias:
+            assert_allclose(bt.grad, gb, rtol=0, atol=1e-12)
+
+
+class TestLayerNorm:
+    def test_rows_standardized(self):
+        x = Tensor(np.random.default_rng(13).standard_normal((4, 6)) * 5.0 + 3.0)
+        out = T.layer_norm(x, Tensor(np.ones(6)), Tensor(np.zeros(6)), 1e-5).data
+        assert_allclose(out.mean(axis=-1), 0.0, atol=1e-12)
+        assert_allclose(out.var(axis=-1), 1.0, atol=1e-5)
+
+    def test_bad_affine_shape(self):
+        with pytest.raises(ValueError, match="gamma and beta"):
+            T.layer_norm(Tensor(np.ones((2, 3))), Tensor(np.ones(2)), Tensor(np.zeros(3)), 1e-5)
+
+    @given(lead=lead_shapes, d=st.integers(1, 8), seed=st.integers(0, 2**16))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_composed_graph(self, lead, d, seed):
+        """Fused op vs the composed primitive-op graph it replaced: forward and
+        the VJPs for x, gamma and beta."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(lead + (d,))
+        gamma, beta = rng.standard_normal(d), rng.standard_normal(d)
+        g = rng.standard_normal(x.shape)
+        results = []
+        for layer_norm in (T.layer_norm, composed_layer_norm):
+            leaves = [Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
+            out = layer_norm(*leaves, 1e-5)
+            T.tsum(T.mul(out, Tensor(g))).backward()
+            results.append([out.data] + [t.grad for t in leaves])
+        for fused, composed in zip(*results):
+            assert_allclose(fused, composed, rtol=0, atol=1e-12)
+
+
+class TestTakeLast:
+    def test_gradient_on_non_contiguous_input(self):
+        """Regression: a transposed input used to get an all-zero gradient."""
+        x = Tensor(np.ones((2, 3, 4)).transpose(2, 1, 0), requires_grad=True)  # (4, 3, 2), not C-ordered
+        T.tsum(T.take_last(x, np.array([1]))).backward()
+        assert x.grad.sum() == 12.0
+        assert_allclose(x.grad[..., 1], 1.0)
+        assert_allclose(x.grad[..., 0], 0.0)
+
+
+class TestNoGrad:
+    def test_results_carry_no_graph(self):
+        w = Tensor(np.ones((3, 2)), requires_grad=True)
+        with T.no_grad():
+            out = T.sigmoid(T.matmul(Tensor(np.ones((4, 3))), w))
+        assert not out.requires_grad
+        assert out._prev == () and out._vjp is None
+
+    def test_same_values_as_recorded(self):
+        rng = np.random.default_rng(14)
+        w = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+        x = Tensor(rng.standard_normal((2, 6, 5)))
+        recorded = T.softmax(T.matmul(x, w))
+        with T.no_grad():
+            free = T.softmax(T.matmul(x, w))
+        assert recorded.requires_grad
+        assert free.data.tobytes() == recorded.data.tobytes()
+
+    def test_backward_inside_block_rejected(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with T.no_grad():
+            loss = T.tsum(T.mul(x, x))
+        with pytest.raises(ValueError, match="requiring gradients"):
+            loss.backward()
+
+    def test_finiteness_guard_kept(self):
+        with T.no_grad(), pytest.raises(FloatingPointError):
+            T.log(Tensor([0.0], requires_grad=True))
+
+    def test_mode_restored_after_exception(self):
+        x = Tensor([1.0], requires_grad=True)
+        with pytest.raises(RuntimeError, match="boom"), T.no_grad():
+            raise RuntimeError("boom")
+        loss = T.tsum(T.mul(x, x))
+        assert loss.requires_grad
+        loss.backward()
+        assert_allclose(x.grad, [2.0])
 
 
 class TestConv2d:

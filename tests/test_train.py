@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from seizureformer.data import DataError, WindowSample
-from seizureformer.model import ModelConfig, SeizureFormer
-from seizureformer.tensor import Tensor
+from seizureformer.data import DataError, WindowSample, samples_to_arrays
+from seizureformer.model import ModelConfig, SeizureFormer, weighted_bce
+from seizureformer.tensor import Tensor, zero_grad
 from seizureformer.train import (
     OptimizerState,
     TrainConfig,
@@ -192,6 +192,43 @@ class TestEvaluate:
             s.y = 0
         with pytest.raises(DataError, match="single-class"):
             evaluate(tiny_model(), samples)
+
+    def test_scores_match_recorded_forward_bytes(self):
+        samples = toy_samples(21, seed=8)
+        model = tiny_model(seed=8)
+        rep = evaluate(model, samples, batch_size=8)
+        x, _ = samples_to_arrays(samples)
+        recorded = []
+        for start in range(0, len(x), 8):
+            out = model.forward(x[start : start + 8], training=False)
+            assert out.requires_grad
+            recorded.append(out.data.reshape(-1))
+        assert np.array(rep.scores).tobytes() == np.concatenate(recorded).tobytes()
+
+    def test_forward_keeps_no_graph(self):
+        model = tiny_model(seed=9)
+        outputs = []
+        forward = model.forward
+
+        def spy(x, training=False, rng=None):
+            outputs.append(forward(x, training=training, rng=rng))
+            return outputs[-1]
+
+        model.forward = spy
+        evaluate(model, toy_samples(20, seed=9), batch_size=8)
+        assert len(outputs) == 3
+        assert all(not out.requires_grad and out._prev == () for out in outputs)
+
+    def test_train_step_after_evaluate_fills_every_grad(self):
+        samples = toy_samples(16, seed=10)
+        model = tiny_model(seed=10)
+        evaluate(model, samples)
+        x, y = samples_to_arrays(samples)
+        params = model.parameters()
+        zero_grad(params)
+        weighted_bce(model.forward(x, training=True, rng=np.random.default_rng(0)), y).backward()
+        missing = [name for name, p in params.items() if p.grad is None]
+        assert not missing
 
 
 class TestManifest:
