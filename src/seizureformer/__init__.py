@@ -3,7 +3,8 @@
 Layers: a float64 autodiff core (`tensor`), the data pipeline (`data`),
 seeded synthetic cohorts (`synth`), the patch-attention network (`model`),
 training (`train`), exact ranking metrics (`metrics`), reference baselines
-(`baselines`), gradient verification (`gradcheck`), and the CLI (`cli`).
+(`baselines`), gradient verification (`gradcheck`), the key=value codec
+(`kv`), and the CLI (`cli`).
 """
 
 from .data import (

@@ -101,11 +101,6 @@ def logistic_predict(model: BaselineModel, x: np.ndarray) -> np.ndarray:
     return _sigmoid(x @ model.weights)
 
 
-def logistic_gradient(model: BaselineModel, x: np.ndarray, y: np.ndarray, l2: float = 1e-4) -> np.ndarray:
-    y = np.asarray(y, dtype=np.float64)
-    return x.T @ (y - _sigmoid(x @ model.weights)) / len(y) - l2 * _penalized(model.weights)
-
-
 def poisson_fit(x: np.ndarray, targets: np.ndarray, l2: float = 1e-4) -> BaselineModel:
     """Log-link rate model over non-negative integer targets (horizon LE sums).
 
@@ -149,12 +144,6 @@ def poisson_fit(x: np.ndarray, targets: np.ndarray, l2: float = 1e-4) -> Baselin
 def poisson_predict(model: BaselineModel, x: np.ndarray) -> np.ndarray:
     """Expected horizon counts; used directly as risk scores."""
     return np.exp(x @ model.weights)
-
-
-def poisson_gradient(model: BaselineModel, x: np.ndarray, targets: np.ndarray, l2: float = 1e-4) -> np.ndarray:
-    t = np.asarray(targets, dtype=np.float64)
-    lam = np.exp(x @ model.weights)
-    return x.T @ (t - lam) / len(t) - l2 * _penalized(model.weights)
 
 
 # -- trend/seasonal linear model ------------------------------------------------
@@ -211,29 +200,3 @@ class DLinearModel:
         s_flat = Tensor(seasonals.reshape(batch, -1))
         logits = matmul(t_flat, self.params["trend.weight"]) + matmul(s_flat, self.params["seasonal.weight"])
         return sigmoid(logits + self.params["bias"])
-
-    def score_window(self, x: np.ndarray) -> float:
-        """Risk score for a single (n, d) window."""
-        out = self.forward(np.transpose(x[None, :, :], (0, 2, 1)))
-        return float(out.data.reshape(()))
-
-    def parameters(self) -> dict[str, Tensor]:
-        return self.params
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.params.items()}
-
-    def restore(self, snapshot: dict[str, np.ndarray]) -> None:
-        for name, values in snapshot.items():
-            self.params[name].data = values.copy()
-
-
-def dlinear_forward(model: DLinearModel, window: np.ndarray) -> float:
-    return model.score_window(np.asarray(window, dtype=np.float64))
-
-
-def dlinear_fit(model: DLinearModel, train_samples, val_samples, cfg):
-    """Train with the identical loop the main model uses."""
-    from .train import train_loop
-
-    return train_loop(model, train_samples, val_samples, cfg)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, gradcheck, synth
+from . import baselines, gradcheck, kv, metrics, synth
 from .data import (
     DEFAULT_HORIZONS,
     DEFAULT_LABEL_FRACTION,
@@ -32,7 +32,8 @@ from .data import (
     zscore_normalize,
 )
 from .model import ModelConfig, SeizureFormer, model_from_checkpoint, save_checkpoint
-from .train import TrainConfig, evaluate, train_loop, write_manifest
+from .kv import write_manifest
+from .train import TrainConfig, evaluate, train_loop
 
 ABLATIONS = {
     "cnn": {"use_cnn_embed": False},
@@ -64,49 +65,15 @@ class RunConfig:
     min_history: int = DEFAULT_MIN_HISTORY
     horizons: tuple[int, ...] = DEFAULT_HORIZONS
 
-    def flat(self) -> dict[str, object]:
-        out: dict[str, object] = {}
-        for f in dataclasses.fields(ModelConfig):
-            out[f.name] = getattr(self.model, f.name)
-        for f in dataclasses.fields(TrainConfig):
-            out[f.name] = getattr(self.train, f.name)
-        out["label_window"] = self.label_window
-        out["label_fraction"] = self.label_fraction
-        out["min_history"] = self.min_history
-        out["horizons"] = self.horizons
-        return out
 
-
-_TUPLE_KEYS = {"kernel_sizes", "cvt_kernel", "horizons"}
-
-
-def _parse_value(key: str, kind: str, raw: str):
-    raw = raw.strip()
-    if key in _TUPLE_KEYS:
-        return tuple(int(v) for v in raw.split(",") if v.strip())
-    if "bool" in kind:
-        if raw not in ("true", "false"):
-            raise ValueError(f"{key} expects true/false, got {raw!r}")
-        return raw == "true"
-    if "float" in kind:
-        return float(raw)
-    if "str" in kind:
-        return raw
-    return int(raw)
-
-
-def _key_kinds() -> dict[str, tuple[str, str]]:
-    """key -> (section, annotation string)."""
-    kinds = {}
-    for f in dataclasses.fields(ModelConfig):
-        kinds[f.name] = ("model", f.type)
-    for f in dataclasses.fields(TrainConfig):
-        kinds[f.name] = ("train", f.type)
-    kinds["label_window"] = ("pipeline", "int")
-    kinds["label_fraction"] = ("pipeline", "float")
-    kinds["min_history"] = ("pipeline", "int")
-    kinds["horizons"] = ("pipeline", "tuple")
-    return kinds
+def _flat_keys(cfg: RunConfig) -> dict[str, tuple[object, type]]:
+    """Every config key -> (the dataclass instance that holds it, its type)."""
+    keys = {}
+    for owner in (cfg.model, cfg.train, cfg):
+        for name, kind in kv.field_types(type(owner)).items():
+            if not dataclasses.is_dataclass(kind):
+                keys[name] = (owner, kind)
+    return keys
 
 
 def load_run_config(path: str | None = None, overrides: list[str] | None = None) -> RunConfig:
@@ -114,37 +81,24 @@ def load_run_config(path: str | None = None, overrides: list[str] | None = None)
 
     Unknown keys are rejected; '#' starts a comment.
     """
-    kinds = _key_kinds()
-    pairs: list[tuple[str, str]] = []
+    entries = []
     if path:
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, raw = stripped.partition("=")
-            pairs.append((key.strip(), raw))
-    for item in overrides or []:
-        if "=" not in item:
-            raise ValueError(f"override {item!r} must look like key=value")
-        key, _, raw = item.partition("=")
-        pairs.append((key.strip(), raw))
+        for n, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+            if text := line.split("#", 1)[0].strip():
+                entries.append((f"{path}:{n}", text))
+    entries += [("--set", item) for item in overrides or []]
 
     cfg = RunConfig()
-    for key, raw in pairs:
-        if key not in kinds:
-            raise ValueError(f"unknown config key {key!r}")
-        section, kind = kinds[key]
-        value = _parse_value(key, kind, raw)
-        if section == "model":
-            setattr(cfg.model, key, value)
-        elif section == "train":
-            setattr(cfg.train, key, value)
-        else:
-            setattr(cfg, key, value)
-    if cfg.model.se_reduction is None:
-        cfg.model.se_reduction = max(2, cfg.model.channels)
+    keys = _flat_keys(cfg)
+    for where, text in entries:
+        key, sep, raw = text.partition("=")
+        key = key.strip()
+        if not sep:
+            raise ValueError(f"{where}: expected key=value, got {text!r}")
+        if key not in keys:
+            raise ValueError(f"{where}: unknown config key {key!r}")
+        owner, kind = keys[key]
+        setattr(owner, key, kv.parse_value(key, raw, kind))
     cfg.model.validate()
     cfg.train.validate()
     return cfg
@@ -162,7 +116,7 @@ def _build_samples(data_path: str, run_cfg: RunConfig, horizon: int):
 
 
 def _config_manifest(run_cfg: RunConfig) -> dict[str, object]:
-    return {f"config.{key}": value for key, value in run_cfg.flat().items()}
+    return {f"config.{key}": getattr(owner, key) for key, (owner, _) in _flat_keys(run_cfg).items()}
 
 
 # -- commands -----------------------------------------------------------------
@@ -275,11 +229,11 @@ def _benchmark_cell(kind: str, samples, run_cfg: RunConfig, cell_seed: int):
         elif kind == "logistic":
             fit = baselines.logistic_fit(baselines.window_features(train_s), [s.y for s in train_s])
             scores = baselines.logistic_predict(fit, baselines.window_features(test_s))
-            rep = _score_report(scores, test_s)
+            rep = metrics.report(scores, [s.y for s in test_s])
         elif kind == "poisson":
             fit = baselines.poisson_fit(baselines.window_features(train_s), baselines.horizon_counts(train_s))
             scores = baselines.poisson_predict(fit, baselines.window_features(test_s))
-            rep = _score_report(scores, test_s)
+            rep = metrics.report(scores, [s.y for s in test_s])
         elif kind == "dlinear":
             model = baselines.DLinearModel(
                 run_cfg.model.lookback, run_cfg.model.channels, rng=np.random.default_rng(cell_seed)
@@ -292,12 +246,6 @@ def _benchmark_cell(kind: str, samples, run_cfg: RunConfig, cell_seed: int):
         return rep.roc_auc, rep.pr_auc
     except (DataError, ValueError, FloatingPointError):
         return None
-
-
-def _score_report(scores, samples):
-    from . import metrics
-
-    return metrics.report(scores, [s.y for s in samples])
 
 
 def cmd_benchmark(args) -> int:
@@ -352,7 +300,7 @@ def cmd_benchmark(args) -> int:
             "cohort_seeds": tuple(seeds),
             "benchmark_horizons": tuple(horizons),
             "days": args.days,
-            "models": ",".join(BENCHMARK_MODELS),
+            "models": BENCHMARK_MODELS,
         }
     )
     write_manifest(str(out) + ".manifest", manifest)

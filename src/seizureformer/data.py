@@ -4,7 +4,7 @@ window-sample construction with chronological splits.
 The raw unit is one row per calendar day: A+B detection counts on two device
 channels plus a long-episode count.  Labels are dynamic: a day is high risk
 when its LE count strictly exceeds ``fraction`` times the trailing-window LE
-mean.  Everything downstream (windows, splits, exports) is deterministic for
+mean.  Everything downstream (windows and splits) is deterministic for
 a fixed input file.
 """
 
@@ -324,11 +324,3 @@ def samples_to_arrays(samples: list[WindowSample]) -> tuple[np.ndarray, np.ndarr
     x = np.stack([s.x.T for s in samples]).astype(np.float64)
     y = np.array([s.y for s in samples], dtype=np.int64)
     return x, y
-
-
-def export_samples(samples: list[WindowSample], path: str | Path) -> None:
-    """Write ``anchor_date,horizon,y`` rows, byte-deterministic."""
-    lines = ["anchor_date,horizon,y"]
-    for s in samples:
-        lines.append(f"{s.anchor_date.isoformat()},{s.horizon},{s.y}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

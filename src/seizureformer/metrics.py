@@ -45,17 +45,11 @@ def roc_auc(scores, labels) -> float:
     if n_pos == 0 or n_neg == 0:
         raise ValueError(f"ROC AUC undefined for a single class (pos={n_pos}, neg={n_neg})")
 
-    order = np.argsort(s, kind="mergesort")
-    sorted_s = s[order]
-    ranks = np.empty(len(s), dtype=np.float64)
-    i = 0
-    while i < len(s):
-        j = i
-        while j < len(s) and sorted_s[j] == sorted_s[i]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + 1 + j)  # average of 1-based ranks i+1..j
-        i = j
-    rank_sum = ranks[y == 1].sum()
+    # average 1-based rank per tie group: group g spans sorted positions start..end
+    _, group, counts = np.unique(s, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    ranks = 0.5 * (ends - counts + 1 + ends)
+    rank_sum = ranks[group][y == 1].sum()
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
@@ -69,24 +63,14 @@ def pr_auc(scores, labels) -> float:
     order = np.argsort(-s, kind="mergesort")
     y_sorted = y[order]
     s_sorted = s[order]
-    tp = 0
-    fp = 0
-    ap = 0.0
-    prev_recall = 0.0
-    i = 0
-    while i < len(s_sorted):
-        j = i
-        while j < len(s_sorted) and s_sorted[j] == s_sorted[i]:
-            j += 1
-        group_pos = int(y_sorted[i:j].sum())
-        tp += group_pos
-        fp += (j - i) - group_pos
-        recall = tp / n_pos
-        precision = tp / (tp + fp)
-        ap += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j
-    return ap
+    starts = np.flatnonzero(np.r_[True, s_sorted[1:] != s_sorted[:-1]])
+    group_pos = np.add.reduceat(y_sorted, starts)
+    tp = np.cumsum(group_pos)
+    fp = np.cumsum(np.diff(np.r_[starts, len(s)]) - group_pos)
+    recall = tp / n_pos
+    precision = tp / (tp + fp)
+    # a sequential sum, so the result is the same bytes as adding group by group
+    return float(np.cumsum(np.diff(np.r_[0.0, recall]) * precision)[-1])
 
 
 def report(scores, labels) -> MetricsReport:

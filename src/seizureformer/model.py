@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import kv
 from .tensor import (
     Tensor,
     clip,
@@ -223,16 +224,6 @@ def embed_patches(patches: Tensor, kernels: list[tuple[Tensor, Tensor]]) -> Tens
     return concat(feats, axis=-1)
 
 
-def project_position(embedded: Tensor, w_proj: Tensor, w_pos: Tensor) -> Tensor:
-    """Linear map to the working width plus the learnable positional table."""
-    return matmul(embedded, w_proj) + w_pos
-
-
-def cvt_conv(x: Tensor, kernel: Tensor) -> Tensor:
-    """Shared 2D convolution over the (channel, patch) grid, shape-preserving."""
-    return conv2d(x, kernel)
-
-
 def mhsa_encoder(
     x: Tensor,
     cfg: ModelConfig,
@@ -317,9 +308,9 @@ def forward(
     else:
         embedded = matmul(patches, params["embed.linear.weight"])
 
-    grid = project_position(embedded, params["proj.weight"], params["proj.pos"])  # (B, d, p, D)
+    grid = matmul(embedded, params["proj.weight"]) + params["proj.pos"]  # (B, d, p, D)
     if cfg.use_cvt:
-        grid = cvt_conv(grid, params["cvt.kernel"])
+        grid = conv2d(grid, params["cvt.kernel"])  # shared over the (channel, patch) grid
 
     stacked = reshape(grid, (batch * cfg.channels, cfg.patch_count, cfg.embed_dim))
     encoded = mhsa_encoder(stacked, cfg, params, training, rng, attn_sink)
@@ -366,39 +357,18 @@ class SeizureFormer:
     ) -> Tensor:
         return forward(x, self.config, self.params, training, rng, attn_sink)
 
-    def parameters(self) -> dict[str, Tensor]:
-        return self.params
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.params.items()}
-
-    def restore(self, snapshot: dict[str, np.ndarray]) -> None:
-        for name, values in snapshot.items():
-            self.params[name].data = values.copy()
-
 
 # -- checkpoint I/O -----------------------------------------------------------
 
 _CHECKPOINT_MAGIC = "risk-model-checkpoint-v1"
 
 
-def _format_config_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, tuple):
-        return ",".join(str(v) for v in value)
-    return repr(value) if isinstance(value, float) else str(value)
+class _ZeroDraws:
+    """Generator stand-in for when only parameter names and shapes matter
+    (it keeps ``eval`` from importing ``numpy.random``, about 2 MB of RSS)."""
 
-
-def _parse_config_value(name: str, raw: str):
-    kind = ModelConfig.__dataclass_fields__[name].type
-    if name in ("kernel_sizes", "cvt_kernel"):
-        return tuple(int(v) for v in raw.split(","))
-    if "bool" in kind:
-        return raw == "true"
-    if "float" in kind:
-        return float(raw)
-    return int(raw)
+    def uniform(self, low, high, size):
+        return np.zeros(size)
 
 
 def save_checkpoint(path: str | Path, cfg: ModelConfig, params: dict[str, Tensor]) -> None:
@@ -407,39 +377,58 @@ def save_checkpoint(path: str | Path, cfg: ModelConfig, params: dict[str, Tensor
     Values are written with repr so the round trip is bit-exact.
     """
     lines = [f"format={_CHECKPOINT_MAGIC}"]
-    for name in ModelConfig.__dataclass_fields__:
-        lines.append(f"config.{name}={_format_config_value(getattr(cfg, name))}")
+    for name in kv.field_types(ModelConfig):
+        lines.append(f"config.{name}={kv.format_value(getattr(cfg, name))}")
     for name, t in params.items():
-        shape = ",".join(str(s) for s in t.data.shape)
-        lines.append(f"param={name} shape={shape}")
-        lines.append(" ".join(repr(float(v)) for v in t.data.reshape(-1)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        lines.append(f"param={name} shape={kv.format_value(t.data.shape)}")
+        lines.append(" ".join(map(repr, t.data.reshape(-1).tolist())))
+    kv.write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, Tensor]]:
+    """Inverse of ``save_checkpoint``; the parameter names and shapes must be
+    exactly those ``init_params`` makes for the stored config."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != f"format={_CHECKPOINT_MAGIC}":
         raise ValueError(f"{path} is not a recognized checkpoint")
+    kinds = kv.field_types(ModelConfig)
     cfg_kwargs = {}
-    params: dict[str, Tensor] = {}
     i = 1
     while i < len(lines) and lines[i].startswith("config."):
-        key, _, raw = lines[i].partition("=")
-        name = key[len("config."):]
-        cfg_kwargs[name] = _parse_config_value(name, raw)
+        key, _, raw = lines[i][len("config."):].partition("=")
+        if key not in kinds:
+            raise ValueError(f"{path}:{i + 1}: unknown config key {key!r}")
+        cfg_kwargs[key] = kv.parse_value(key, raw, kinds[key])
         i += 1
+    if len(cfg_kwargs) < len(kinds):
+        raise ValueError(f"{path}: missing config keys {', '.join(k for k in kinds if k not in cfg_kwargs)}")
     cfg = ModelConfig(**cfg_kwargs)
-    while i < len(lines):
-        line = lines[i]
-        if not line.startswith("param="):
-            raise ValueError(f"{path}: unexpected line {i + 1}")
-        head, shape_part = line.split(" shape=")
+    expected = {name: t.shape for name, t in init_params(cfg, _ZeroDraws()).items()}
+
+    params: dict[str, Tensor] = {}
+    for n in range(i, len(lines), 2):
+        where = f"{path}:{n + 1}"
+        head, sep, shape_part = lines[n].partition(" shape=")
         name = head[len("param="):]
-        shape = tuple(int(s) for s in shape_part.split(","))
-        values = np.array([float(v) for v in lines[i + 1].split()], dtype=np.float64)
+        if not head.startswith("param=") or not sep:
+            raise ValueError(f"{where}: expected 'param=<name> shape=<dims>'")
+        if name not in expected or name in params:
+            raise ValueError(f"{where}: unexpected parameter {name!r} for this config")
+        shape = kv.parse_value(f"{name} shape", shape_part, tuple)
+        if shape != expected[name]:
+            raise ValueError(f"{where}: parameter {name!r} has shape {shape}, the config needs {expected[name]}")
+        if n + 1 == len(lines):
+            raise ValueError(f"{path}: truncated, no values for parameter {name!r}")
+        try:
+            values = np.array([float(v) for v in lines[n + 1].split()], dtype=np.float64)
+        except ValueError:
+            raise ValueError(f"{path}:{n + 2}: unreadable values for parameter {name!r}") from None
+        if values.size != math.prod(shape):
+            raise ValueError(f"{path}:{n + 2}: parameter {name!r} has {values.size} values, needs {math.prod(shape)}")
         params[name] = Tensor(values.reshape(shape), requires_grad=True)
-        i += 2
-    cfg.validate()
+    missing = [name for name in expected if name not in params]
+    if missing:
+        raise ValueError(f"{path}: missing parameters {', '.join(missing)}")
     return cfg, params
 
 

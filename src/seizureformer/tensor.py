@@ -218,23 +218,9 @@ def _norm_axes(axes: _AxesArg, ndim: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def create(shape: Sequence[int], values: Sequence[float]) -> Tensor:
-    """Build a tensor from a flat row-major value list."""
-    shape = tuple(int(s) for s in shape)
-    if any(s <= 0 for s in shape):
-        raise ValueError(f"shape extents must be positive, got {shape}")
-    expected = int(np.prod(shape)) if shape else 1
-    values = list(values)
-    if len(values) != expected:
-        raise ValueError(f"shape {shape} needs {expected} values, got {len(values)}")
-    return Tensor(np.array(values, dtype=np.float64).reshape(shape))
-
-
-def zero_grad(tensors) -> None:
-    """Clear gradients on an iterable (or mapping) of tensors."""
-    if hasattr(tensors, "values"):
-        tensors = tensors.values()
-    for t in tensors:
+def zero_grad(params: dict[str, Tensor]) -> None:
+    """Clear the gradients of a name -> tensor parameter store."""
+    for t in params.values():
         t.grad = None
 
 
@@ -654,7 +640,7 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, epsilon: float = 1e-5) 
     if first.data.tobytes() != second.data.tobytes():
         raise ValueError("f is not deterministic; disable dropout before checking")
 
-    leaf = Tensor(x.data.copy(), requires_grad=True)
+    leaf = Tensor(x.data.copy(order="K"), requires_grad=True)  # keep the input's memory layout
     out = f(leaf)
     if out.requires_grad:
         out.backward()

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import metrics
 from .data import DataError, WindowSample, compute_pos_weight, samples_to_arrays
+from .kv import write_manifest  # noqa: F401  (perfbench traces the manifest writer as train.write_manifest)
 from .model import weighted_bce
 from .tensor import Tensor, no_grad, zero_grad
 
@@ -127,7 +127,11 @@ def train_loop(
     cfg: TrainConfig,
 ) -> tuple[dict[str, Tensor], TrainHistory]:
     """Fit the model, keep the best-validation-AUC parameters, and stop after
-    ``patience`` epochs without improvement (first best wins ties)."""
+    ``patience`` epochs without improvement (first best wins ties).
+
+    ``model`` needs ``forward`` and a ``params`` dict of tensors; the best
+    epoch's values are copied out of ``model.params`` and written back there.
+    """
     cfg.validate()
     if not train_samples:
         raise DataError("empty training split")
@@ -148,9 +152,9 @@ def train_loop(
 
     rng = np.random.default_rng(cfg.seed)
     state = OptimizerState(cfg.optimizer)
-    params = model.parameters()
+    params = model.params
     best_auc = -math.inf
-    best_snapshot = model.snapshot()
+    best: dict[str, np.ndarray] = {}
 
     for epoch in range(cfg.max_epochs):
         order = rng.permutation(len(train_samples))
@@ -170,27 +174,13 @@ def train_loop(
         if val_auc > best_auc:
             best_auc = val_auc
             history.best_epoch = epoch
-            best_snapshot = model.snapshot()
+            best = {name: t.data.copy() for name, t in params.items()}
         if epoch - history.best_epoch >= cfg.patience:
             history.stop_reason = "early_stopping"
             break
     else:
         history.stop_reason = "max_epochs"
 
-    model.restore(best_snapshot)
-    return model.parameters(), history
-
-
-def write_manifest(path: str | Path, entries: dict) -> None:
-    """Flat key=value run manifest, keys sorted, floats via repr."""
-    lines = []
-    for key in sorted(entries):
-        value = entries[key]
-        if isinstance(value, (bool, np.bool_)):
-            value = "true" if value else "false"
-        elif isinstance(value, (float, np.floating)):
-            value = repr(float(value))
-        elif isinstance(value, (tuple, list)):
-            value = ",".join(str(v) for v in value)
-        lines.append(f"{key}={value}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    for name, values in best.items():
+        params[name].data = values
+    return params, history

@@ -5,7 +5,9 @@ padding, pairwise comparisons) so it shares no code path with the package.
 The exceptions are earlier versions of rewritten kernels, kept verbatim as
 oracles for their replacements: the per-tap ``conv1d``, the composed
 ``layer_norm`` (built from the package's primitive ops rather than the fused
-op) and the per-day ``label_days`` loop.
+op), the per-day ``label_days`` loop and the tie-grouping loops of
+``roc_auc`` / ``pr_auc``.  The baseline objective gradients live here too,
+since only tests evaluate them.
 """
 
 import math
@@ -104,6 +106,73 @@ def loop_label_days(le: np.ndarray, window: int, fraction: float, min_history: i
         threshold = fraction * history.mean()
         labels[i] = 1 if le[i] > threshold else 0
     return labels
+
+
+def loop_roc_auc(s: np.ndarray, y: np.ndarray) -> float:
+    """Average ranks by walking tie groups of the sorted scores."""
+    n_pos = int(y.sum())
+    n_neg = len(y) - n_pos
+    order = np.argsort(s, kind="mergesort")
+    sorted_s = s[order]
+    ranks = np.empty(len(s), dtype=np.float64)
+    i = 0
+    while i < len(s):
+        j = i
+        while j < len(s) and sorted_s[j] == sorted_s[i]:
+            j += 1
+        ranks[order[i:j]] = 0.5 * (i + 1 + j)  # average of 1-based ranks i+1..j
+        i = j
+    rank_sum = ranks[y == 1].sum()
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def loop_pr_auc(s: np.ndarray, y: np.ndarray) -> float:
+    """Average precision, one tie group of the descending scores at a time."""
+    n_pos = int(y.sum())
+    order = np.argsort(-s, kind="mergesort")
+    y_sorted = y[order]
+    s_sorted = s[order]
+    tp = 0
+    fp = 0
+    ap = 0.0
+    prev_recall = 0.0
+    i = 0
+    while i < len(s_sorted):
+        j = i
+        while j < len(s_sorted) and s_sorted[j] == s_sorted[i]:
+            j += 1
+        group_pos = int(y_sorted[i:j].sum())
+        tp += group_pos
+        fp += (j - i) - group_pos
+        recall = tp / n_pos
+        precision = tp / (tp + fp)
+        ap += (recall - prev_recall) * precision
+        prev_recall = recall
+        i = j
+    return ap
+
+
+def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
+    t = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+
+
+def _unpenalized_intercept(w: np.ndarray) -> np.ndarray:
+    out = w.copy()
+    out[-1] = 0.0
+    return out
+
+
+def logistic_gradient(w: np.ndarray, x: np.ndarray, y: np.ndarray, l2: float = 1e-4) -> np.ndarray:
+    """Gradient of the mean Bernoulli log-likelihood minus (l2/2)||w[:-1]||^2."""
+    y = np.asarray(y, dtype=np.float64)
+    return x.T @ (y - _stable_sigmoid(x @ w)) / len(y) - l2 * _unpenalized_intercept(w)
+
+
+def poisson_gradient(w: np.ndarray, x: np.ndarray, targets: np.ndarray, l2: float = 1e-4) -> np.ndarray:
+    """Gradient of the mean log-link Poisson log-likelihood minus (l2/2)||w[:-1]||^2."""
+    t = np.asarray(targets, dtype=np.float64)
+    return x.T @ (t - np.exp(x @ w)) / len(t) - l2 * _unpenalized_intercept(w)
 
 
 def naive_conv2d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:

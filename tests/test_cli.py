@@ -69,6 +69,14 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="key=value"):
             load_run_config(None, ["oops"])
 
+    @pytest.mark.parametrize(
+        "override", ["label_fraction=nan", "learning_rate=inf", "use_se=yes", "kernel_sizes=3,,5", "lookback=30.0"]
+    )
+    def test_strict_values_exit_one_naming_the_key(self, synth_csv, tmp_path, capsys, override):
+        code = main(["train", "--data", str(synth_csv), "--horizon", "1", "--out-dir", str(tmp_path), "--set", override])
+        assert code == 1
+        assert f"error: {override.partition('=')[0]} expects" in capsys.readouterr().err
+
 
 class TestTrainCommand:
     def test_writes_checkpoint_and_manifest(self, synth_csv, tmp_path):
@@ -121,6 +129,16 @@ class TestEvalCommand:
         assert code == 0
         assert "test ROC AUC" in capsys.readouterr().out
         assert "metrics.roc_auc=" in (tmp_path / "eval.txt").read_text()
+
+    def test_malformed_checkpoint_exits_one(self, synth_csv, tmp_path, capsys):
+        out = tmp_path / "run"
+        main(["train", "--data", str(synth_csv), "--horizon", "1", "--out-dir", str(out)] + FAST_TRAIN)
+        checkpoint = out / "checkpoint.txt"
+        checkpoint.write_text(checkpoint.read_text().replace("config.use_se=true", "config.use_se=yes"))
+        capsys.readouterr()
+        code = main(["eval", "--data", str(synth_csv), "--checkpoint", str(checkpoint), "--horizon", "1"])
+        assert code == 1
+        assert "use_se expects true or false" in capsys.readouterr().err
 
 
 class TestGradcheckCommand:

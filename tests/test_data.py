@@ -296,10 +296,8 @@ class TestDeterminism:
         data.write_csv(series, csv_path)
 
         outs = []
-        for run in range(2):
+        for _ in range(2):
             parsed, _ = parse_csv(csv_path)
             samples = make_windows(zscore_normalize(parsed), label_days(parsed), 30, 7)
-            out = tmp_path / f"samples{run}.csv"
-            data.export_samples(samples, out)
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+            outs.append([(s.x.tobytes(), s.y, s.horizon, s.anchor_date, s.horizon_le_sum) for s in samples])
+        assert outs[0] and outs[0] == outs[1]

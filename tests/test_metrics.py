@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from seizureformer.metrics import pr_auc, report, roc_auc
 
-from oracles import pairwise_roc_auc, sweep_pr_auc
+from oracles import loop_pr_auc, loop_roc_auc, pairwise_roc_auc, sweep_pr_auc
 
 
 def random_case(rng, n_max=300):
@@ -82,6 +84,26 @@ class TestInvariances:
         perm = rng.permutation(len(scores))
         assert roc_auc(scores[perm], labels[perm]) == roc_auc(scores, labels)
         assert pr_auc(scores[perm], labels[perm]) == pr_auc(scores, labels)
+
+
+class TestMatchesTieLoops:
+    """The vectorized tie grouping against the while-loops it replaced."""
+
+    @given(
+        n=st.integers(2, 200), distinct=st.integers(1, 400), seed=st.integers(0, 2**16),
+        negative_zero=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_byte_equal(self, n, distinct, seed, negative_zero):
+        rng = np.random.default_rng(seed)
+        # scores drawn from `distinct` values: few values force ties, many give near-unique scores
+        scores = rng.standard_normal(distinct)[rng.integers(0, distinct, size=n)]
+        if negative_zero:
+            scores[: n // 2] = np.where(rng.random(n // 2) < 0.5, -0.0, 0.0)
+        labels = rng.integers(0, 2, size=n)
+        labels[rng.choice(n, 2, replace=False)] = [0, 1]
+        assert np.float64(roc_auc(scores, labels)).tobytes() == np.float64(loop_roc_auc(scores, labels)).tobytes()
+        assert np.float64(pr_auc(scores, labels)).tobytes() == np.float64(loop_pr_auc(scores, labels)).tobytes()
 
 
 class TestReport:

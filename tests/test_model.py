@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from seizureformer import kv
 from seizureformer import tensor as T
 from seizureformer.model import (
     ModelConfig,
     SeizureFormer,
-    cvt_conv,
     embed_patches,
     init_params,
     load_checkpoint,
@@ -16,7 +16,6 @@ from seizureformer.model import (
     model_from_checkpoint,
     patchify,
     predict_head,
-    project_position,
     save_checkpoint,
     se_recalibrate,
     weighted_bce,
@@ -129,14 +128,16 @@ class TestEmbedPatches:
 
 
 class TestProjectPosition:
+    """The projection stage of ``forward``: ``matmul(embedded, proj.weight) + proj.pos``."""
+
     def test_identity_projection(self):
         e = Tensor(np.random.default_rng(2).standard_normal((5, 4)))
-        out = project_position(e, Tensor(np.eye(4)), Tensor(np.zeros((5, 4))))
+        out = T.matmul(e, Tensor(np.eye(4))) + Tensor(np.zeros((5, 4)))
         assert_allclose(out.data, e.data)
 
     def test_zero_input_gives_positional_table(self):
         w_pos = Tensor(np.random.default_rng(3).standard_normal((5, 4)))
-        out = project_position(Tensor(np.zeros((5, 6))), Tensor(np.zeros((6, 4))), w_pos)
+        out = T.matmul(Tensor(np.zeros((5, 6))), Tensor(np.zeros((6, 4)))) + w_pos
         assert_allclose(out.data, w_pos.data)
 
     def test_position_sensitivity(self):
@@ -145,29 +146,31 @@ class TestProjectPosition:
         e = rng.standard_normal((5, 6))
         w_p = Tensor(rng.standard_normal((6, 4)))
         w_pos = Tensor(rng.standard_normal((5, 4)))
-        out = project_position(Tensor(e), w_p, w_pos).data
-        permuted = project_position(Tensor(e[::-1].copy()), w_p, w_pos).data
+        out = (T.matmul(Tensor(e), w_p) + w_pos).data
+        permuted = (T.matmul(Tensor(e[::-1].copy()), w_p) + w_pos).data
         assert not np.allclose(out[::-1], permuted)
 
 
 class TestCvtConv:
+    """The CVT stage of ``forward``: one shared ``conv2d`` over the (channel, patch) grid."""
+
     def test_unit_kernel_identity(self):
         x = Tensor(np.random.default_rng(5).standard_normal((2, 7, 8)))
-        assert_allclose(cvt_conv(x, Tensor([[1.0]])).data, x.data)
+        assert_allclose(T.conv2d(x, Tensor([[1.0]])).data, x.data)
 
     def test_single_channel_sees_zero_padding(self):
         # with one channel, cross-channel taps touch only padding
         x = np.random.default_rng(6).standard_normal((1, 6, 4))
         k = np.zeros((3, 3))
         k[0, 1] = 1.0  # tap pointing at the (missing) previous channel
-        out = cvt_conv(Tensor(x), Tensor(k)).data
+        out = T.conv2d(Tensor(x), Tensor(k)).data
         assert_allclose(out, 0.0)
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((2, 7, 8))
         k = rng.standard_normal((3, 3))
-        assert_allclose(cvt_conv(Tensor(x), Tensor(k)).data, naive_conv2d(x, k), atol=1e-12)
+        assert_allclose(T.conv2d(Tensor(x), Tensor(k)).data, naive_conv2d(x, k), atol=1e-12)
 
 
 class TestMhsaEncoder:
@@ -279,9 +282,9 @@ class TestForward:
         kernels = [(params[f"embed.conv{i}.weight"], params[f"embed.conv{i}.bias"]) for i in range(2)]
         embedded = embed_patches(patches, kernels)
         assert embedded.shape == (3, 2, cfg.patch_count, cfg.embed_width)
-        projected = project_position(embedded, params["proj.weight"], params["proj.pos"])
+        projected = T.matmul(embedded, params["proj.weight"]) + params["proj.pos"]
         assert projected.shape == (3, 2, cfg.patch_count, cfg.embed_dim)
-        assert cvt_conv(projected, params["cvt.kernel"]).shape == projected.shape
+        assert T.conv2d(projected, params["cvt.kernel"]).shape == projected.shape
 
     def test_disabling_se_reproduces_unscaled_output(self):
         """The SE flag must remove exactly the recalibration stage."""
@@ -332,8 +335,8 @@ class TestForward:
         p1 = patchify(Tensor(x), cfg.patch_length, cfg.stride)
         p2 = patchify(Tensor(swapped), cfg.patch_length, cfg.stride)
         kernels = [(model.params[f"embed.conv{i}.weight"], model.params[f"embed.conv{i}.bias"]) for i in range(2)]
-        e1 = project_position(embed_patches(p1, kernels), model.params["proj.weight"], model.params["proj.pos"]).data
-        e2 = project_position(embed_patches(p2, kernels), model.params["proj.weight"], model.params["proj.pos"]).data
+        e1 = (T.matmul(embed_patches(p1, kernels), model.params["proj.weight"]) + model.params["proj.pos"]).data
+        e2 = (T.matmul(embed_patches(p2, kernels), model.params["proj.weight"]) + model.params["proj.pos"]).data
         assert_allclose(e1[:, 0], e2[:, 1], atol=1e-14)
 
 
@@ -343,8 +346,8 @@ def _forward_until_se(model, x):
     params = model.params
     patches = patchify(Tensor(x), cfg.patch_length, cfg.stride)
     kernels = [(params[f"embed.conv{i}.weight"], params[f"embed.conv{i}.bias"]) for i in range(len(cfg.kernel_sizes))]
-    grid = project_position(embed_patches(patches, kernels), params["proj.weight"], params["proj.pos"])
-    grid = cvt_conv(grid, params["cvt.kernel"])
+    grid = T.matmul(embed_patches(patches, kernels), params["proj.weight"]) + params["proj.pos"]
+    grid = T.conv2d(grid, params["cvt.kernel"])
     stacked = T.reshape(grid, (x.shape[0] * cfg.channels, cfg.patch_count, cfg.embed_dim))
     encoded = mhsa_encoder(stacked, cfg, params)
     return T.reshape(encoded, (x.shape[0], cfg.channels, cfg.patch_count, cfg.embed_dim))
@@ -396,3 +399,61 @@ class TestCheckpoint:
         bad.write_text("not a checkpoint\n")
         with pytest.raises(ValueError, match="checkpoint"):
             load_checkpoint(bad)
+
+    @staticmethod
+    def _saved_lines(tmp_path):
+        model = small_model(seed=8)
+        path = tmp_path / "m.txt"
+        save_checkpoint(path, model.config, model.params)
+        return path, path.read_text().splitlines()
+
+    def test_unknown_config_key_rejected(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path)
+        path.write_text("\n".join(l.replace("config.use_se=", "config.use_sse=") for l in lines) + "\n")
+        with pytest.raises(ValueError, match="unknown config key 'use_sse'"):
+            load_checkpoint(path)
+
+    def test_non_bool_flag_rejected(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path)
+        path.write_text("\n".join(l.replace("config.use_se=true", "config.use_se=yes") for l in lines) + "\n")
+        with pytest.raises(ValueError, match="use_se expects true or false"):
+            load_checkpoint(path)
+
+    def test_missing_config_key_rejected(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path)
+        path.write_text("\n".join(l for l in lines if not l.startswith("config.dropout_rate=")) + "\n")
+        with pytest.raises(ValueError, match="missing config keys dropout_rate"):
+            load_checkpoint(path)
+
+    def test_truncated_file_rejected(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path)
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(ValueError, match="truncated, no values for parameter 'head.bias'"):
+            load_checkpoint(path)
+
+    def test_missing_parameter_rejected(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path)
+        at = lines.index(next(l for l in lines if l.startswith("param=se.w1 ")))
+        path.write_text("\n".join(lines[:at] + lines[at + 2 :]) + "\n")
+        with pytest.raises(ValueError, match="missing parameters se.w1"):
+            load_checkpoint(path)
+
+    def test_wrong_shape_rejected(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path)
+        path.write_text("\n".join(l.replace("param=head.bias shape=1", "param=head.bias shape=1,1") for l in lines) + "\n")
+        with pytest.raises(ValueError, match="'head.bias' has shape"):
+            load_checkpoint(path)
+
+    def test_failed_write_keeps_existing_file(self, tmp_path, monkeypatch):
+        path, _ = self._saved_lines(tmp_path)
+        before = path.read_bytes()
+
+        def broken_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(kv.os, "replace", broken_replace)
+        other = small_model(seed=9)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, other.config, other.params)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.txt"]

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from seizureformer import tensor as T
-from seizureformer.tensor import Tensor, create, grad_check
+from seizureformer.tensor import Tensor, _accum, _result, grad_check
 
 from oracles import (
     composed_layer_norm,
@@ -22,16 +22,18 @@ lead_shapes = st.lists(st.integers(1, 3), min_size=0, max_size=2).map(tuple)
 
 class TestCreate:
     def test_identity_construction(self):
-        t = create([2, 2], [1, 2, 3, 4])
+        t = Tensor([[1, 2], [3, 4]])
         assert t.shape == (2, 2)
+        assert t.data.dtype == np.float64
         assert_allclose(t.data, [[1, 2], [3, 4]])
 
     def test_zero_vector(self):
-        assert_allclose(create([3], [0, 0, 0]).data, [0, 0, 0])
+        assert_allclose(Tensor([0, 0, 0]).data, [0, 0, 0])
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="values"):
-            create([2], [1, 2, 3])
+        """Nested rows of unequal length do not make a tensor."""
+        with pytest.raises(ValueError):
+            Tensor([[1.0, 2.0], [3.0]])
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -356,6 +358,20 @@ class TestGradCheck:
     def test_bad_epsilon(self):
         with pytest.raises(ValueError, match="epsilon"):
             grad_check(lambda t: T.tsum(t), Tensor(np.ones(2)), epsilon=0.0)
+
+    def test_checks_the_input_layout(self):
+        """A VJP that is wrong only on non-contiguous input must be caught."""
+
+        def square_sum(a):
+            def vjp(g):
+                grad = 2.0 * a.data * g
+                _accum(a, grad if a.data.flags.c_contiguous else 0.0 * grad)
+
+            return _result(np.array(np.sum(a.data * a.data)), (a,), vjp)
+
+        x = np.random.default_rng(0).standard_normal((2, 3, 4))
+        assert grad_check(square_sum, Tensor(x)) < 1e-6
+        assert grad_check(square_sum, Tensor(x.transpose(2, 0, 1))) > 0.5
 
 
 class TestProperties:

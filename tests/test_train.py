@@ -7,14 +7,8 @@ from numpy.testing import assert_allclose
 from seizureformer.data import DataError, WindowSample, samples_to_arrays
 from seizureformer.model import ModelConfig, SeizureFormer, weighted_bce
 from seizureformer.tensor import Tensor, zero_grad
-from seizureformer.train import (
-    OptimizerState,
-    TrainConfig,
-    evaluate,
-    optimizer_step,
-    train_loop,
-    write_manifest,
-)
+from seizureformer.kv import write_manifest
+from seizureformer.train import OptimizerState, TrainConfig, evaluate, optimizer_step, train_loop
 
 DAY0 = datetime.date(2021, 1, 1)
 
@@ -93,15 +87,6 @@ class _ScriptedModel:
         self.eval_calls += 1
         return Tensor(np.asarray(scores[:n], dtype=float).reshape(n, 1))
 
-    def parameters(self):
-        return self.params
-
-    def snapshot(self):
-        return {"w": self.params["w"].data.copy()}
-
-    def restore(self, snap):
-        self.params["w"].data = snap["w"].copy()
-
 
 class TestTrainLoop:
     def test_patience_one_stops_after_second_epoch(self):
@@ -124,6 +109,19 @@ class TestTrainLoop:
         assert history.best_epoch == 0
         assert history.stop_reason == "early_stopping"
         assert len(history.val_roc_auc) == 3  # epochs 0..2, stopped 2 after the best
+
+    def test_best_epoch_values_restored_into_model_params(self):
+        """Weight decay moves w every step; the loop must hand back epoch 0's w."""
+        val = toy_samples(8)
+        labels = np.array([s.y for s in val], dtype=float)
+        model = _ScriptedModel([labels, 1.0 - labels])
+        model.params["w"].data = np.array([1.0])
+        cfg = TrainConfig(patience=1, max_epochs=10, batch_size=4, learning_rate=0.1, weight_decay=0.5)
+        params, history = train_loop(model, toy_samples(12), val, cfg)
+        assert history.best_epoch == 0 and len(history.val_roc_auc) == 2
+        assert params is model.params
+        decay = 1.0 - cfg.learning_rate * cfg.weight_decay
+        assert_allclose(model.params["w"].data, [decay**3], rtol=1e-12)  # 3 steps of epoch 0, not 6
 
     def test_same_seed_identical_history(self):
         results = []
@@ -224,7 +222,7 @@ class TestEvaluate:
         model = tiny_model(seed=10)
         evaluate(model, samples)
         x, y = samples_to_arrays(samples)
-        params = model.parameters()
+        params = model.params
         zero_grad(params)
         weighted_bce(model.forward(x, training=True, rng=np.random.default_rng(0)), y).backward()
         missing = [name for name, p in params.items() if p.grad is None]
