@@ -31,7 +31,7 @@ from .data import (
     write_csv,
     zscore_normalize,
 )
-from .model import ModelConfig, SeizureFormer, model_from_checkpoint, save_checkpoint
+from .model import PIPELINE_KEYS, ModelConfig, SeizureFormer, model_from_checkpoint, save_checkpoint
 from .kv import write_manifest
 from .train import TrainConfig, evaluate, train_loop
 
@@ -115,6 +115,11 @@ def _build_samples(data_path: str, run_cfg: RunConfig, horizon: int):
     return make_windows(normalized, labels, run_cfg.model.lookback, horizon)
 
 
+def _pipeline(run_cfg: RunConfig, horizon: int) -> dict[str, object]:
+    """The settings a checkpoint records besides its model config (``model.PIPELINE_KEYS``)."""
+    return {key: horizon if key == "horizon" else getattr(run_cfg, key) for key in PIPELINE_KEYS}
+
+
 def _config_manifest(run_cfg: RunConfig) -> dict[str, object]:
     return {f"config.{key}": getattr(owner, key) for key, (owner, _) in _flat_keys(run_cfg).items()}
 
@@ -152,11 +157,11 @@ def cmd_train(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(out_dir / "checkpoint.txt", run_cfg.model, model.params)
+    save_checkpoint(out_dir / "checkpoint.txt", run_cfg.model, model.params, _pipeline(run_cfg, args.horizon))
     history_lines = ["epoch,train_loss,val_roc_auc"]
     for i, (loss, auc) in enumerate(zip(history.train_loss, history.val_roc_auc)):
         history_lines.append(f"{i},{loss!r},{auc!r}")
-    (out_dir / "history.csv").write_text("\n".join(history_lines) + "\n", encoding="utf-8")
+    kv.write_atomic(out_dir / "history.csv", "\n".join(history_lines) + "\n")
 
     manifest = _config_manifest(run_cfg)
     manifest.update(
@@ -186,10 +191,15 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     run_cfg = load_run_config(args.config, args.set)
-    model = model_from_checkpoint(args.checkpoint)
-    run_cfg.model = model.config
+    model, trained = model_from_checkpoint(args.checkpoint)
     if args.horizon not in run_cfg.horizons:
         raise ValueError(f"horizon {args.horizon} not in configured horizons {run_cfg.horizons}")
+    trained["lookback"] = model.config.lookback
+    wanted = {"lookback": run_cfg.model.lookback, **_pipeline(run_cfg, args.horizon)}
+    if key := next((k for k in wanted if wanted[k] != trained[k]), None):
+        raise ValueError(f"{args.checkpoint} was trained with {key}={kv.format_value(trained[key])}, "
+                         f"this run has {key}={kv.format_value(wanted[key])}")
+    run_cfg.model = model.config
     samples = _build_samples(args.data, run_cfg, args.horizon)
     train_s, val_s, test_s = split_chronological(samples)
     block = {"train": train_s, "val": val_s, "test": test_s}[args.split]
@@ -292,7 +302,7 @@ def cmd_benchmark(args) -> int:
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
+    kv.write_atomic(out, "\n".join(rows) + "\n")
     manifest = _config_manifest(run_cfg)
     manifest.update(
         {
@@ -360,8 +370,8 @@ def cmd_export_plot(args) -> int:
     for i, day in enumerate(normalized.dates):
         risk = "" if labels.labels[i] == -1 else str(int(labels.labels[i]))
         lines.append(f"{day.isoformat()},{normalized.z[i, 0]!r},{normalized.z[i, 1]!r},{risk}")
-    Path(args.out_csv).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-    Path(args.out_svg).write_text(_render_svg(normalized.dates, normalized.z, labels.labels), encoding="utf-8")
+    kv.write_atomic(args.out_csv, "\n".join(lines) + "\n")
+    kv.write_atomic(args.out_svg, _render_svg(normalized.dates, normalized.z, labels.labels))
     print(f"wrote {len(normalized.dates)} rows to {args.out_csv} and figure to {args.out_svg}")
     return 0
 

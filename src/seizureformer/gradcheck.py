@@ -47,6 +47,8 @@ def _op_checks(rng: np.random.Generator) -> list[tuple[str, object, Tensor]]:
     # built from the draws above so the model checks see the same rng state
     ln_gamma, ln_beta = Tensor(mix.data[0] + 1.0), bias
     ln_eps = 1e-5
+    w_fold = Tensor(b34.data.T)
+    perm_mix = Tensor(np.arange(56.0).reshape(4, 2, 7))  # position-dependent, so a wrong inverse shows
 
     return [
         ("add_broadcast", lambda t: T.tsum((t + Tensor(np.ones((1, 3)))) * 2.0), a53),
@@ -55,13 +57,15 @@ def _op_checks(rng: np.random.Generator) -> list[tuple[str, object, Tensor]]:
         ("neg", lambda t: T.tsum(-t), a53),
         ("matmul_left", lambda t: T.tsum(T.matmul(t, b34)), a53),
         ("matmul_right", lambda t: T.tsum(T.matmul(a53, t)), b34),
-        ("transpose_last2", lambda t: T.tsum(T.matmul(T.transpose_last2(t), t)), a53),
+        ("matmul_bias_input", lambda t: T.tsum(T.power(T.matmul(t, w_fold, bias), 2.0)), grid),
+        ("matmul_bias_bias", lambda t: T.tsum(T.power(T.matmul(grid, w_fold, t), 2.0)), bias),
+        ("permute", lambda t: T.tsum(T.mul(T.permute(t, (2, 0, 1)), perm_mix)), grid),
         ("reshape", lambda t: T.tsum(T.power(T.reshape(t, (3, 3)), 2.0)), vec),
         ("concat", lambda t: T.tsum(T.concat([t, T.mul(t, t)], axis=1)), pieces),
         ("take_last", lambda t: T.tsum(T.power(T.take_last(t, gather_idx), 2.0)), rows),
         (
             "take_last_noncontiguous",
-            lambda t: T.tsum(T.power(T.take_last(T.transpose_last2(t), gather_idx), 2.0)),
+            lambda t: T.tsum(T.power(T.take_last(T.permute(t, (0, 2, 1)), gather_idx), 2.0)),
             grid,
         ),
         ("sum_axis", lambda t: T.tsum(T.power(T.tsum(t, axes=0), 2.0)), a53),

@@ -4,9 +4,9 @@ Every operation returns a new :class:`Tensor` carrying a vector-Jacobian
 closure; calling ``backward()`` on a scalar result walks the recorded graph
 in reverse topological order and accumulates ``.grad`` on every tensor that
 requires gradients.  The op set is deliberately small: exactly what a
-patch-attention classifier needs (matmul, 1D/2D cross-correlation, softmax,
-sigmoid/relu, reductions, concat, gather, dropout, layer norm) plus a
-finite-difference checker.
+patch-attention classifier needs (matmul, axis permute, 1D/2D
+cross-correlation, softmax, sigmoid/relu, reductions, concat, gather,
+dropout, layer norm) plus a finite-difference checker.
 
 Inside a ``with no_grad():`` block operations record nothing: results carry
 no parents and no closure, so each intermediate is freed as soon as the next
@@ -57,7 +57,7 @@ class Tensor:
     without rebuilding the graph is an error.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_prev", "_vjp", "_backward_done")
+    __slots__ = ("data", "grad", "requires_grad", "_prev", "_vjp", "_backward_done", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = _as_float64(data)
@@ -271,38 +271,50 @@ def neg(a: Tensor) -> Tensor:
     return _result(-a.data, (a,), vjp)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; batch dimensions broadcast numpy-style.
-
-    Gradients follow dA = dC @ B^T and dB = A^T @ dC, reduced over broadcast
-    batch axes.
-    """
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Matrix product; batch dimensions broadcast numpy-style.  A 2-D ``b`` (a
+    weight) folds every leading axis of ``a`` into the rows of one GEMM, so
+    dA = dC @ W^T and dW = A^T @ dC need no batched temporary, and ``bias``
+    (n,) is added in place; a batched ``b`` reduces its gradients over
+    broadcast batch axes."""
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands must have at least 2 dimensions")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ValueError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    data = np.matmul(a.data, b.data)
+    fold = b.ndim == 2
+    a_op = a.data.reshape(-1, b.data.shape[0]) if fold else a.data
+    data = np.matmul(a_op, b.data)
+    if bias is not None:
+        if not fold or bias.data.shape != b.data.shape[1:]:
+            raise ValueError(f"matmul bias needs a 2-D weight and shape ({b.data.shape[-1]},)")
+        data += bias.data
 
     def vjp(g: Array) -> None:
+        g = g.reshape(data.shape)
+        if bias is not None and bias.requires_grad:
+            _accum(bias, g.sum(axis=0))
         if a.requires_grad:
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            _accum(a, _sum_to_shape(ga, a.data.shape))
+            _accum(a, _sum_to_shape(ga, a_op.shape).reshape(a.data.shape))
         if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+            gb = np.matmul(np.swapaxes(a_op, -1, -2), g)
             _accum(b, _sum_to_shape(gb, b.data.shape))
 
-    return _result(data, (a, b), vjp)
+    out = data.reshape(a.data.shape[:-1] + b.data.shape[1:]) if fold else data
+    return _result(out, (a, b) if bias is None else (a, b, bias), vjp)
 
 
-def transpose_last2(a: Tensor) -> Tensor:
-    if a.ndim < 2:
-        raise ValueError("transpose_last2 needs at least 2 dimensions")
+def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
+    """Reorder the axes of ``a`` (numpy's ``transpose``); the result is a view."""
+    axes = tuple(axes)
+    if sorted(axes) != list(range(a.ndim)):
+        raise ValueError(f"permute needs an ordering of all {a.ndim} axes, got {axes}")
 
     def vjp(g: Array) -> None:
         if a.requires_grad:
-            _accum(a, np.swapaxes(g, -1, -2))
+            _accum(a, np.transpose(g, np.argsort(axes)))
 
-    return _result(np.swapaxes(a.data, -1, -2), (a,), vjp)
+    return _result(np.transpose(a.data, axes), (a,), vjp)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:

@@ -38,8 +38,10 @@ class TrainConfig:
     optimizer: str = "adam"
 
     def validate(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.batch_size < 1 or self.patience < 1 or self.max_epochs < 1:
             raise ValueError("batch_size, patience, max_epochs must be >= 1")
         if self.optimizer not in ("adam", "sgd"):
@@ -167,6 +169,7 @@ def train_loop(
             loss.backward()
             optimizer_step(params, state, cfg.learning_rate, cfg.weight_decay)
             loss_sum += loss.item() * len(batch)
+            del y_hat, loss  # free this step's graph before the next forward builds one
         history.train_loss.append(loss_sum / len(train_samples))
 
         val_auc = evaluate(model, val_samples).roc_auc

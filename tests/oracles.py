@@ -5,8 +5,9 @@ padding, pairwise comparisons) so it shares no code path with the package.
 The exceptions are earlier versions of rewritten kernels, kept verbatim as
 oracles for their replacements: the per-tap ``conv1d``, the composed
 ``layer_norm`` (built from the package's primitive ops rather than the fused
-op), the per-day ``label_days`` loop and the tie-grouping loops of
-``roc_auc`` / ``pr_auc``.  The baseline objective gradients live here too,
+op), the broadcast ``matmul`` (no weight fold, no fused bias) with the
+encoder built from it and ``transpose_last2``, the per-day ``label_days`` loop and the tie-grouping
+loops of ``roc_auc`` / ``pr_auc``.  The baseline objective gradients live here too,
 since only tests evaluate them.
 """
 
@@ -93,6 +94,76 @@ def composed_layer_norm(x: T.Tensor, gamma: T.Tensor, beta: T.Tensor, eps: float
     centered = x - mu
     var = T.mean(T.mul(centered, centered), axes=-1, keepdims=True)
     return T.mul(centered, T.power(var + eps, -0.5)) * gamma + beta
+
+
+def _sum_to_shape(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g.reshape(shape)
+
+
+def broadcast_matmul_vjp(a: np.ndarray, b: np.ndarray, g: np.ndarray):
+    """(d_a, d_b) of np.matmul(a, b) as batched products reduced over broadcast axes."""
+    ga = np.matmul(g, np.swapaxes(b, -1, -2))
+    gb = np.matmul(np.swapaxes(a, -1, -2), g)
+    return _sum_to_shape(ga, a.shape), _sum_to_shape(gb, b.shape)
+
+
+def broadcast_matmul(a: T.Tensor, b: T.Tensor) -> T.Tensor:
+    """The matmul op before the weight fold: np.matmul forward, broadcast VJP."""
+
+    def vjp(g):
+        ga, gb = broadcast_matmul_vjp(a.data, b.data, g)
+        if a.requires_grad:
+            T._accum(a, ga)
+        if b.requires_grad:
+            T._accum(b, gb)
+
+    return T._result(np.matmul(a.data, b.data), (a, b), vjp)
+
+
+def loop_permute(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """out[i_0, ..., i_n] = x[j] where j[axes[m]] = i_m, one element at a time."""
+    out = np.empty(tuple(x.shape[ax] for ax in axes))
+    for idx in np.ndindex(out.shape):
+        src = [0] * x.ndim
+        for m, ax in enumerate(axes):
+            src[ax] = idx[m]
+        out[idx] = x[tuple(src)]
+    return out
+
+
+def transpose_last2(a: T.Tensor) -> T.Tensor:
+    def vjp(g):
+        if a.requires_grad:
+            T._accum(a, np.swapaxes(g, -1, -2))
+
+    return T._result(np.swapaxes(a.data, -1, -2), (a,), vjp)
+
+
+def per_head_mhsa_encoder(x: T.Tensor, cfg, params: dict) -> T.Tensor:
+    """The eval-mode encoder built from ``broadcast_matmul``, ``transpose_last2``,
+    the composed layer norm and separate bias adds."""
+    scale = 1.0 / math.sqrt(cfg.head_dim)
+    for layer in range(cfg.encoder_layers):
+        base = f"encoder{layer}"
+        normed = composed_layer_norm(x, params[f"{base}.ln1.gamma"], params[f"{base}.ln1.beta"], 1e-5)
+        head_outs = []
+        for j in range(cfg.heads):
+            q = broadcast_matmul(normed, params[f"{base}.attn.head{j}.wq"])
+            k = broadcast_matmul(normed, params[f"{base}.attn.head{j}.wk"])
+            v = broadcast_matmul(normed, params[f"{base}.attn.head{j}.wv"])
+            attn = T.softmax(broadcast_matmul(q, transpose_last2(k)) * scale)
+            head_outs.append(broadcast_matmul(attn, v))
+        x = x + broadcast_matmul(T.concat(head_outs, axis=-1), params[f"{base}.attn.wo"])
+        normed = composed_layer_norm(x, params[f"{base}.ln2.gamma"], params[f"{base}.ln2.beta"], 1e-5)
+        hidden = T.relu(broadcast_matmul(normed, params[f"{base}.ffn.w1"]) + params[f"{base}.ffn.b1"])
+        x = x + (broadcast_matmul(hidden, params[f"{base}.ffn.w2"]) + params[f"{base}.ffn.b2"])
+    return x
 
 
 def loop_label_days(le: np.ndarray, window: int, fraction: float, min_history: int) -> np.ndarray:

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from seizureformer import gradcheck
+from seizureformer import gradcheck, kv
 from seizureformer.cli import load_run_config, main
 from seizureformer.tensor import Tensor
 
@@ -20,6 +20,13 @@ FAST_TRAIN = [
     "--set", "embed_dim=8", "--set", "ffn_dim=16", "--set", "encoder_layers=1",
     "--set", "kernel_sizes=3", "--set", "embed_features=4",
 ]
+
+
+@pytest.fixture(scope="module")
+def trained_checkpoint(synth_csv, tmp_path_factory):
+    out = tmp_path_factory.mktemp("run")
+    assert main(["train", "--data", str(synth_csv), "--horizon", "1", "--out-dir", str(out)] + FAST_TRAIN) == 0
+    return out / "checkpoint.txt"
 
 
 class TestSynthCommand:
@@ -76,6 +83,13 @@ class TestRunConfig:
         code = main(["train", "--data", str(synth_csv), "--horizon", "1", "--out-dir", str(tmp_path), "--set", override])
         assert code == 1
         assert f"error: {override.partition('=')[0]} expects" in capsys.readouterr().err
+
+    def test_negative_weight_decay_exits_one_naming_the_key(self, synth_csv, tmp_path, capsys):
+        code = main(
+            ["train", "--data", str(synth_csv), "--horizon", "1", "--out-dir", str(tmp_path), "--set", "weight_decay=-1"]
+        )
+        assert code == 1
+        assert "error: weight_decay must be finite and >= 0" in capsys.readouterr().err
 
 
 class TestTrainCommand:
@@ -139,6 +153,33 @@ class TestEvalCommand:
         code = main(["eval", "--data", str(synth_csv), "--checkpoint", str(checkpoint), "--horizon", "1"])
         assert code == 1
         assert "use_se expects true or false" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "override, key",
+        [
+            (["--set", "lookback=20"], "lookback"),
+            (["--set", "label_window=30"], "label_window"),
+            (["--set", "label_fraction=0.6"], "label_fraction"),
+            (["--set", "min_history=10"], "min_history"),
+            (["--horizon", "3"], "horizon"),
+            (["--set", "label_window=30", "--set", "min_history=10"], "label_window"),
+        ],
+    )
+    def test_pipeline_mismatch_exits_one_naming_the_key(self, synth_csv, trained_checkpoint, capsys, override, key):
+        argv = ["eval", "--data", str(synth_csv), "--checkpoint", str(trained_checkpoint), "--horizon", "1"]
+        capsys.readouterr()
+        assert main(argv + override) == 1
+        assert f"was trained with {key}=" in capsys.readouterr().err
+
+    def test_v1_checkpoint_exits_one(self, synth_csv, trained_checkpoint, tmp_path, capsys):
+        lines = trained_checkpoint.read_text().splitlines()
+        old = tmp_path / "v1.txt"
+        old.write_text("\n".join(["format=risk-model-checkpoint-v1"] + lines[1:]) + "\n")
+        capsys.readouterr()
+        assert main(["eval", "--data", str(synth_csv), "--checkpoint", str(old), "--horizon", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "v1 checkpoint" in err and "retrain" in err
 
 
 class TestGradcheckCommand:
@@ -216,6 +257,20 @@ class TestBenchmarkCommand:
         assert code == 0
         rows = [l for l in out.read_text().splitlines()[1:] if l.split(",")[1] != "mean"]
         assert all(l.endswith(",NA,NA") for l in rows)
+
+    def test_failed_table_write_leaves_old_table(self, tmp_path, monkeypatch):
+        out = tmp_path / "table.csv"
+        out.write_text("old table\n")
+
+        def broken_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(kv.os, "replace", broken_replace)
+        code = main(["benchmark", "--cohort-seeds", "1", "--horizons", "14", "--days", "240", "--out", str(out)]
+                    + FAST_TRAIN)
+        assert code == 2
+        assert out.read_text() == "old table\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv"]
 
     def test_duplicate_seeds_rejected(self, tmp_path):
         assert main(["benchmark", "--cohort-seeds", "1,1", "--horizons", "1", "--out", str(tmp_path / "t.csv")]) == 1

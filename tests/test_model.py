@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from seizureformer import kv
@@ -22,12 +24,13 @@ from seizureformer.model import (
 )
 from seizureformer.tensor import Tensor, grad_check
 
-from oracles import naive_conv1d, naive_conv2d
+from oracles import naive_conv1d, naive_conv2d, per_head_mhsa_encoder
 
 TINY = dict(
     lookback=16, patch_length=4, stride=2, kernel_sizes=(3, 5), embed_features=3,
     embed_dim=8, heads=2, encoder_layers=1, ffn_dim=16,
 )
+PIPELINE = {"label_window": 60, "label_fraction": 0.7, "min_history": 7, "horizon": 1}
 
 
 class TestConfig:
@@ -199,6 +202,36 @@ class TestMhsaEncoder:
         params = init_params(cfg, np.random.default_rng(12))
         x = Tensor(np.random.default_rng(13).standard_normal((6, cfg.patch_count, cfg.embed_dim)))
         assert mhsa_encoder(x, cfg, params).shape == x.shape
+
+    @given(
+        heads=st.integers(1, 3), dk=st.integers(1, 4), layers=st.integers(1, 2), n=st.integers(1, 3),
+        p=st.integers(1, 5), seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_broadcast_matmul_oracle(self, heads, dk, layers, n, p, seed):
+        """Folded weight GEMMs, fused biases, permute and the fused layer norm against the
+        encoder built from the replaced ops: values, input and every parameter grad."""
+        cfg = ModelConfig(**{**TINY, "embed_dim": heads * dk, "heads": heads, "encoder_layers": layers, "ffn_dim": 5})
+        rng = np.random.default_rng(seed)
+        params = init_params(cfg, rng)
+        for t in params.values():  # non-trivial biases and layer-norm affines too
+            t.data = 0.5 * rng.standard_normal(t.shape)
+        oracle_params = {k: Tensor(t.data, requires_grad=True) for k, t in params.items()}
+        x = rng.standard_normal((n, p, cfg.embed_dim))
+        g = Tensor(rng.standard_normal(x.shape))
+
+        xt, xo = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
+        out = mhsa_encoder(xt, cfg, params)
+        ref = per_head_mhsa_encoder(xo, cfg, oracle_params)
+        assert_allclose(out.data, ref.data, rtol=0, atol=1e-12)
+
+        T.tsum(T.mul(out, g)).backward()
+        T.tsum(T.mul(ref, g)).backward()
+        assert_allclose(xt.grad, xo.grad, rtol=0, atol=1e-12)
+        encoder = [name for name in params if name.startswith("encoder")]
+        assert len(encoder) == (9 + 3 * heads) * layers
+        for name in encoder:
+            assert_allclose(params[name].grad, oracle_params[name].grad, rtol=0, atol=1e-12, err_msg=name)
 
 
 class TestSeRecalibrate:
@@ -379,19 +412,21 @@ class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
         model = small_model(seed=6)
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-        save_checkpoint(a, model.config, model.params)
-        cfg, params = load_checkpoint(a)
+        save_checkpoint(a, model.config, model.params, PIPELINE)
+        cfg, params, pipeline = load_checkpoint(a)
         assert cfg == model.config
+        assert pipeline == PIPELINE and type(pipeline["label_fraction"]) is float
         for name, t in model.params.items():
             assert t.data.tobytes() == params[name].data.tobytes()
-        save_checkpoint(b, cfg, params)
+        save_checkpoint(b, cfg, params, pipeline)
         assert a.read_bytes() == b.read_bytes()
 
     def test_loaded_model_same_predictions(self, tmp_path):
         model = small_model(seed=7)
         x = np.random.default_rng(26).standard_normal((3, 2, 16))
-        save_checkpoint(tmp_path / "m.txt", model.config, model.params)
-        loaded = model_from_checkpoint(tmp_path / "m.txt")
+        save_checkpoint(tmp_path / "m.txt", model.config, model.params, PIPELINE)
+        loaded, pipeline = model_from_checkpoint(tmp_path / "m.txt")
+        assert pipeline == PIPELINE
         assert model.forward(x).data.tobytes() == loaded.forward(x).data.tobytes()
 
     def test_reject_garbage(self, tmp_path):
@@ -400,12 +435,38 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="checkpoint"):
             load_checkpoint(bad)
 
+    def test_v1_rejected_with_retrain_message(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path)
+        path.write_text("\n".join(["format=risk-model-checkpoint-v1"] + lines[1:]) + "\n")
+        with pytest.raises(ValueError, match="is a v1 checkpoint.*retrain"):
+            load_checkpoint(path)
+
     @staticmethod
     def _saved_lines(tmp_path):
         model = small_model(seed=8)
         path = tmp_path / "m.txt"
-        save_checkpoint(path, model.config, model.params)
+        save_checkpoint(path, model.config, model.params, PIPELINE)
         return path, path.read_text().splitlines()
+
+    def test_header_records_the_pipeline(self, tmp_path):
+        _, lines = self._saved_lines(tmp_path)
+        assert lines[:5] == [
+            "format=risk-model-checkpoint-v2", "pipeline.label_window=60", "pipeline.label_fraction=0.7",
+            "pipeline.min_history=7", "pipeline.horizon=1",
+        ]
+        assert "config.lookback=16" in lines
+
+    def test_unknown_pipeline_key_rejected(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path)
+        path.write_text("\n".join(l.replace("pipeline.horizon=", "pipeline.horizons=") for l in lines) + "\n")
+        with pytest.raises(ValueError, match="unknown pipeline key 'horizons'"):
+            load_checkpoint(path)
+
+    def test_missing_pipeline_key_rejected(self, tmp_path):
+        path, lines = self._saved_lines(tmp_path)
+        path.write_text("\n".join(l for l in lines if not l.startswith("pipeline.min_history=")) + "\n")
+        with pytest.raises(ValueError, match="missing pipeline keys min_history"):
+            load_checkpoint(path)
 
     def test_unknown_config_key_rejected(self, tmp_path):
         path, lines = self._saved_lines(tmp_path)
@@ -454,6 +515,6 @@ class TestCheckpoint:
         monkeypatch.setattr(kv.os, "replace", broken_replace)
         other = small_model(seed=9)
         with pytest.raises(OSError, match="disk full"):
-            save_checkpoint(path, other.config, other.params)
+            save_checkpoint(path, other.config, other.params, PIPELINE)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.txt"]

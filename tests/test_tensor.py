@@ -8,7 +8,9 @@ from seizureformer import tensor as T
 from seizureformer.tensor import Tensor, _accum, _result, grad_check
 
 from oracles import (
+    broadcast_matmul,
     composed_layer_norm,
+    loop_permute,
     naive_conv1d,
     naive_conv2d,
     naive_matmul,
@@ -18,6 +20,7 @@ from oracles import (
 
 # leading batch axes for the kernel-vs-oracle sweeps
 lead_shapes = st.lists(st.integers(1, 3), min_size=0, max_size=2).map(tuple)
+lead_shapes_3 = st.lists(st.integers(1, 3), min_size=0, max_size=3).map(tuple)
 
 
 class TestCreate:
@@ -71,6 +74,76 @@ class TestMatmul:
         ones = np.ones((3, 2))
         assert_allclose(a.grad, ones @ b.data.T, atol=1e-12)
         assert_allclose(b.grad, a.data.T @ ones, atol=1e-12)
+
+
+class TestMatmulFold:
+    """A 2-D weight folds the leading axes into one GEMM; the broadcast matmul
+    it replaced (plus the ``add`` op for the bias) is the oracle."""
+
+    @given(
+        lead=lead_shapes_3, m=st.integers(1, 4), k=st.integers(1, 5), n=st.integers(1, 5),
+        with_bias=st.booleans(), seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_forward_and_vjps(self, lead, m, k, n, with_bias, seed):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.standard_normal(lead + (m, k)), rng.standard_normal((k, n))]
+        if with_bias:
+            arrays.append(rng.standard_normal(n))
+        got = [Tensor(v, requires_grad=True) for v in arrays]
+        ref = [Tensor(v, requires_grad=True) for v in arrays]
+        out = T.matmul(*got)
+        expected = broadcast_matmul(ref[0], ref[1])
+        if with_bias:
+            expected = expected + ref[2]
+        assert_allclose(out.data, expected.data, rtol=0, atol=1e-12)
+
+        g = Tensor(rng.standard_normal(out.shape))
+        T.tsum(T.mul(out, g)).backward()
+        T.tsum(T.mul(expected, g)).backward()
+        for mine, theirs in zip(got, ref):  # input, weight, bias
+            assert mine.grad.shape == theirs.data.shape
+            assert_allclose(mine.grad, theirs.grad, rtol=0, atol=1e-12)
+
+    def test_bias_shape_checked(self):
+        with pytest.raises(ValueError, match=r"bias needs a 2-D weight and shape \(3,\)"):
+            T.matmul(Tensor(np.ones((2, 4))), Tensor(np.ones((4, 3))), Tensor(np.ones(4)))
+
+    def test_bias_needs_2d_weight(self):
+        with pytest.raises(ValueError, match=r"bias needs a 2-D weight and shape \(3,\)"):
+            T.matmul(Tensor(np.ones((2, 2, 4))), Tensor(np.ones((2, 4, 3))), Tensor(np.ones(3)))
+
+    def test_non_contiguous_input(self):
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.standard_normal((4, 3, 2)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+        out = T.matmul(T.permute(x, (2, 1, 0)), w)
+        assert_allclose(out.data, np.matmul(np.transpose(x.data, (2, 1, 0)), w.data), rtol=0, atol=1e-12)
+        T.tsum(out).backward()
+        assert_allclose(x.grad, np.transpose(np.ones((2, 3, 5)) @ w.data.T, (2, 1, 0)), rtol=0, atol=1e-12)
+
+
+class TestPermute:
+    @given(shape=st.lists(st.integers(1, 3), min_size=1, max_size=4).map(tuple), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_loop_oracle(self, shape, data):
+        axes = tuple(data.draw(st.permutations(range(len(shape)))))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        x = Tensor(rng.standard_normal(shape), requires_grad=True)
+        out = T.permute(x, axes)
+        assert np.array_equal(out.data, loop_permute(x.data, axes))
+
+        g = rng.standard_normal(out.shape)
+        T.tsum(T.mul(out, Tensor(g))).backward()
+        inverse = [0] * len(axes)
+        for m, ax in enumerate(axes):
+            inverse[ax] = m
+        assert np.array_equal(x.grad, loop_permute(g, tuple(inverse)))
+
+    @pytest.mark.parametrize("axes", [(0, 1), (0, 0, 1), (0, 1, 3)])
+    def test_not_an_ordering_rejected(self, axes):
+        with pytest.raises(ValueError, match="ordering of all 3 axes"):
+            T.permute(Tensor(np.ones((2, 3, 4))), axes)
 
 
 class TestConv1d:

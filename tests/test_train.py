@@ -1,4 +1,5 @@
 import datetime
+import weakref
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from seizureformer.data import DataError, WindowSample, samples_to_arrays
 from seizureformer.model import ModelConfig, SeizureFormer, weighted_bce
 from seizureformer.tensor import Tensor, zero_grad
 from seizureformer.kv import write_manifest
+from seizureformer import train
 from seizureformer.train import OptimizerState, TrainConfig, evaluate, optimizer_step, train_loop
 
 DAY0 = datetime.date(2021, 1, 1)
@@ -31,6 +33,21 @@ def tiny_model(seed=0):
         embed_dim=8, heads=2, encoder_layers=1, ffn_dim=16, dropout_rate=0.1,
     )
     return SeizureFormer(cfg, np.random.default_rng(seed))
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -0.1])
+    def test_learning_rate_must_be_finite_and_positive(self, value):
+        with pytest.raises(ValueError, match="learning_rate must be finite and positive"):
+            TrainConfig(learning_rate=value).validate()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_weight_decay_must_be_finite_and_non_negative(self, value):
+        with pytest.raises(ValueError, match="weight_decay must be finite and >= 0"):
+            TrainConfig(weight_decay=value).validate()
+
+    def test_zero_weight_decay_accepted(self):
+        TrainConfig(weight_decay=0.0).validate()
 
 
 class TestOptimizerStep:
@@ -155,6 +172,26 @@ class TestTrainLoop:
         _, history = train_loop(model, toy_samples(60, seed=3), val, TrainConfig(seed=1, max_epochs=4, batch_size=16))
         replayed = evaluate(model, val).roc_auc
         assert replayed == history.val_roc_auc[history.best_epoch]
+
+    def test_previous_step_graph_freed_before_next_forward(self, monkeypatch):
+        """No forward (training step or validation) runs while an earlier step's loss is alive."""
+        model = tiny_model(seed=11)
+        roots = []
+        forward, bce = model.forward, train.weighted_bce
+
+        def checked_forward(x, training=False, rng=None):
+            assert all(ref() is None for ref in roots), "a previous step's graph is still alive"
+            return forward(x, training=training, rng=rng)
+
+        def recorded_bce(y_hat, y, pos_weight=1.0):
+            loss = bce(y_hat, y, pos_weight)
+            roots.append(weakref.ref(loss))
+            return loss
+
+        model.forward = checked_forward
+        monkeypatch.setattr(train, "weighted_bce", recorded_bce)
+        train_loop(model, toy_samples(40), toy_samples(12, seed=1), TrainConfig(max_epochs=2, batch_size=8))
+        assert len(roots) == 10
 
     def test_stop_reason_max_epochs(self):
         model = tiny_model(seed=6)
