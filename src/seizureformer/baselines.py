@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import WindowSample
+from .data import DataError, WindowSample
 from .tensor import Tensor, matmul, sigmoid
 
 GRAD_TOL = 1e-6
@@ -72,7 +72,7 @@ def logistic_fit(x: np.ndarray, y: np.ndarray, l2: float = 1e-4) -> BaselineMode
     """
     y = np.asarray(y, dtype=np.float64)
     if len(np.unique(y)) < 2:
-        raise ValueError("logistic regression needs both classes in the training labels")
+        raise DataError("logistic regression needs both classes in the training labels")
     if not np.all(np.isfinite(x)):
         raise ValueError("features must be finite")
     n = len(y)

@@ -160,7 +160,7 @@ def cmd_train(args) -> int:
     save_checkpoint(out_dir / "checkpoint.txt", run_cfg.model, model.params, _pipeline(run_cfg, args.horizon))
     history_lines = ["epoch,train_loss,val_roc_auc"]
     for i, (loss, auc) in enumerate(zip(history.train_loss, history.val_roc_auc)):
-        history_lines.append(f"{i},{loss!r},{auc!r}")
+        history_lines.append(f"{i},{kv.format_value(loss)},{kv.format_value(auc)}")
     kv.write_atomic(out_dir / "history.csv", "\n".join(history_lines) + "\n")
 
     manifest = _config_manifest(run_cfg)
@@ -223,39 +223,30 @@ def cmd_eval(args) -> int:
 
 
 def _benchmark_cell(kind: str, samples, run_cfg: RunConfig, cell_seed: int):
-    """(roc, pr) for one model on one patient/horizon, or None on a degenerate cell."""
-    try:
-        train_s, val_s, test_s = split_chronological(samples)
-        if kind.startswith("seizureformer"):
+    """(roc, pr) for one model on one patient/horizon; degenerate data raises ``DataError``."""
+    train_s, val_s, test_s = split_chronological(samples)
+    test_y = [s.y for s in test_s]
+    if kind == "logistic":
+        fit = baselines.logistic_fit(baselines.window_features(train_s), [s.y for s in train_s])
+        rep = metrics.report(baselines.logistic_predict(fit, baselines.window_features(test_s)), test_y)
+    elif kind == "poisson":
+        fit = baselines.poisson_fit(baselines.window_features(train_s), baselines.horizon_counts(train_s))
+        rep = metrics.report(baselines.poisson_predict(fit, baselines.window_features(test_s)), test_y)
+    else:
+        if kind == "dlinear":
+            rng = np.random.default_rng(cell_seed)
+            model = baselines.DLinearModel(run_cfg.model.lookback, run_cfg.model.channels, rng=rng)
+        elif kind.startswith("seizureformer"):
             model_cfg = dataclasses.replace(run_cfg.model)
-            suffix = kind[len("seizureformer"):].lstrip("-")
-            if suffix:
+            if suffix := kind[len("seizureformer"):].lstrip("-"):
                 for key, value in ABLATIONS[suffix.replace("no-", "")].items():
                     setattr(model_cfg, key, value)
-            train_cfg = dataclasses.replace(run_cfg.train, seed=cell_seed)
             model = SeizureFormer(model_cfg, np.random.default_rng(cell_seed))
-            train_loop(model, train_s, val_s, train_cfg)
-            rep = evaluate(model, test_s)
-        elif kind == "logistic":
-            fit = baselines.logistic_fit(baselines.window_features(train_s), [s.y for s in train_s])
-            scores = baselines.logistic_predict(fit, baselines.window_features(test_s))
-            rep = metrics.report(scores, [s.y for s in test_s])
-        elif kind == "poisson":
-            fit = baselines.poisson_fit(baselines.window_features(train_s), baselines.horizon_counts(train_s))
-            scores = baselines.poisson_predict(fit, baselines.window_features(test_s))
-            rep = metrics.report(scores, [s.y for s in test_s])
-        elif kind == "dlinear":
-            model = baselines.DLinearModel(
-                run_cfg.model.lookback, run_cfg.model.channels, rng=np.random.default_rng(cell_seed)
-            )
-            train_cfg = dataclasses.replace(run_cfg.train, seed=cell_seed)
-            train_loop(model, train_s, val_s, train_cfg)
-            rep = evaluate(model, test_s)
         else:
             raise ValueError(f"unknown benchmark model {kind!r}")
-        return rep.roc_auc, rep.pr_auc
-    except (DataError, ValueError, FloatingPointError):
-        return None
+        train_loop(model, train_s, val_s, dataclasses.replace(run_cfg.train, seed=cell_seed))
+        rep = evaluate(model, test_s)
+    return rep.roc_auc, rep.pr_auc
 
 
 def cmd_benchmark(args) -> int:
@@ -281,17 +272,20 @@ def cmd_benchmark(args) -> int:
 
     rows = ["model,patient,horizon,roc_auc,pr_auc"]
     means = []
+    na_reasons = []  # a degenerate cell is NA; any other error is a bug and ends the run
     for kind in BENCHMARK_MODELS:
         cells = []
         for seed in seeds:
             for horizon in horizons:
                 cell_seed = run_cfg.train.seed + 10_000 * seed + 100 * horizon
-                cell = _benchmark_cell(kind, cohort[(seed, horizon)], run_cfg, cell_seed)
-                if cell is None:
+                try:
+                    cell = _benchmark_cell(kind, cohort[(seed, horizon)], run_cfg, cell_seed)
+                except DataError as exc:
                     rows.append(f"{kind},synth-{seed},{horizon},NA,NA")
-                else:
-                    rows.append(f"{kind},synth-{seed},{horizon},{cell[0]:.6f},{cell[1]:.6f}")
-                    cells.append(cell)
+                    na_reasons.append(f"{kind},synth-{seed},{horizon}: {exc}")
+                    continue
+                rows.append(f"{kind},synth-{seed},{horizon},{cell[0]:.6f},{cell[1]:.6f}")
+                cells.append(cell)
         if cells:
             roc = sum(c[0] for c in cells) / len(cells)
             pr = sum(c[1] for c in cells) / len(cells)
@@ -303,6 +297,7 @@ def cmd_benchmark(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     kv.write_atomic(out, "\n".join(rows) + "\n")
+    kv.write_atomic(str(out) + ".na", "".join(f"{reason}\n" for reason in na_reasons))
     manifest = _config_manifest(run_cfg)
     manifest.update(
         {

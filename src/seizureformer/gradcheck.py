@@ -49,6 +49,11 @@ def _op_checks(rng: np.random.Generator) -> list[tuple[str, object, Tensor]]:
     ln_eps = 1e-5
     w_fold = Tensor(b34.data.T)
     perm_mix = Tensor(np.arange(56.0).reshape(4, 2, 7))  # position-dependent, so a wrong inverse shows
+    # an encoder layer over grid (d=4): two heads of width 2, an FFN of width 6
+    enc_wt = [Tensor(m) for src in (a53.data, b34.data.T, mix.data) for m in (src[:4, :2], src[-4:, -2:])]
+    enc_args = ((Tensor(1.0 + vec.data[:4]), Tensor(vec.data[4:8])), [tuple(enc_wt[0::2]), tuple(enc_wt[1::2])],
+                Tensor(grid.data[0, :4]), (Tensor(1.0 + grid.data[1, 0]), Tensor(grid.data[1, 1])),
+                (rows, Tensor(pieces.data.reshape(-1)), Tensor(rows.data.T), Tensor(positive.data[:4])))
 
     return [
         ("add_broadcast", lambda t: T.tsum((t + Tensor(np.ones((1, 3)))) * 2.0), a53),
@@ -70,10 +75,10 @@ def _op_checks(rng: np.random.Generator) -> list[tuple[str, object, Tensor]]:
         ),
         ("sum_axis", lambda t: T.tsum(T.power(T.tsum(t, axes=0), 2.0)), a53),
         ("mean_axes", lambda t: T.tsum(T.power(T.mean(t, axes=(0, 1), keepdims=True), 2.0)), a53),
-        ("softmax", lambda t: T.tsum(T.mul(T.softmax(t), mix)), a53),
         ("layer_norm_input", lambda t: T.tsum(T.mul(T.layer_norm(t, ln_gamma, ln_beta, ln_eps), mix)), a53),
         ("layer_norm_gamma", lambda t: T.tsum(T.mul(T.layer_norm(a53, t, ln_beta, ln_eps), mix)), ln_gamma),
         ("layer_norm_beta", lambda t: T.tsum(T.mul(T.layer_norm(a53, ln_gamma, t, ln_eps), mix)), ln_beta),
+        ("encoder_layer_input", lambda t: T.tsum(T.power(T.encoder_layer(t, *enc_args, ln_eps, 0.5), 2.0)), grid),
         ("sigmoid", lambda t: T.tsum(T.sigmoid(t)), vec),
         ("relu", lambda t: T.tsum(T.relu(t)), vec),
         ("log", lambda t: T.tsum(T.log(t)), positive),

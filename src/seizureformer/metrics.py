@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import DataError
+
 
 @dataclass
 class MetricsReport:
@@ -43,14 +45,14 @@ def roc_auc(scores, labels) -> float:
     n_pos = int(y.sum())
     n_neg = len(y) - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise ValueError(f"ROC AUC undefined for a single class (pos={n_pos}, neg={n_neg})")
+        raise DataError(f"ROC AUC undefined for a single class (pos={n_pos}, neg={n_neg})")
 
     # average 1-based rank per tie group: group g spans sorted positions start..end
     _, group, counts = np.unique(s, return_inverse=True, return_counts=True)
     ends = np.cumsum(counts)
     ranks = 0.5 * (ends - counts + 1 + ends)
     rank_sum = ranks[group][y == 1].sum()
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
 def pr_auc(scores, labels) -> float:
@@ -58,7 +60,7 @@ def pr_auc(scores, labels) -> float:
     s, y = _validate(scores, labels)
     n_pos = int(y.sum())
     if n_pos == 0:
-        raise ValueError("PR AUC undefined without positive samples")
+        raise DataError("PR AUC undefined without positive samples")
 
     order = np.argsort(-s, kind="mergesort")
     y_sorted = y[order]

@@ -5,8 +5,8 @@ closure; calling ``backward()`` on a scalar result walks the recorded graph
 in reverse topological order and accumulates ``.grad`` on every tensor that
 requires gradients.  The op set is deliberately small: exactly what a
 patch-attention classifier needs (matmul, axis permute, 1D/2D
-cross-correlation, softmax, sigmoid/relu, reductions, concat, gather,
-dropout, layer norm) plus a finite-difference checker.
+cross-correlation, sigmoid/relu, reductions, concat, gather, dropout, layer
+norm, a whole pre-norm encoder layer) plus a finite-difference checker.
 
 Inside a ``with no_grad():`` block operations record nothing: results carry
 no parents and no closure, so each intermediate is freed as soon as the next
@@ -187,7 +187,8 @@ def _result(data: Array, parents: tuple[Tensor, ...], vjp: Callable[[Array], Non
 
 
 def _accum(t: Tensor, g: Array) -> None:
-    t.grad = g if t.grad is None else t.grad + g
+    if t.requires_grad:
+        t.grad = g if t.grad is None else t.grad + g
 
 
 def _sum_to_shape(g: Array, shape: tuple[int, ...]) -> Array:
@@ -231,10 +232,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
     def vjp(g: Array) -> None:
-        if a.requires_grad:
-            _accum(a, _sum_to_shape(g, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _sum_to_shape(g, b.data.shape))
+        _accum(a, _sum_to_shape(g, a.data.shape))
+        _accum(b, _sum_to_shape(g, b.data.shape))
 
     return _result(data, (a, b), vjp)
 
@@ -243,10 +242,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     data = a.data - b.data
 
     def vjp(g: Array) -> None:
-        if a.requires_grad:
-            _accum(a, _sum_to_shape(g, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _sum_to_shape(-g, b.data.shape))
+        _accum(a, _sum_to_shape(g, a.data.shape))
+        _accum(b, _sum_to_shape(-g, b.data.shape))
 
     return _result(data, (a, b), vjp)
 
@@ -255,18 +252,15 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
     def vjp(g: Array) -> None:
-        if a.requires_grad:
-            _accum(a, _sum_to_shape(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _sum_to_shape(g * a.data, b.data.shape))
+        _accum(a, _sum_to_shape(g * b.data, a.data.shape))
+        _accum(b, _sum_to_shape(g * a.data, b.data.shape))
 
     return _result(data, (a, b), vjp)
 
 
 def neg(a: Tensor) -> Tensor:
     def vjp(g: Array) -> None:
-        if a.requires_grad:
-            _accum(a, -g)
+        _accum(a, -g)
 
     return _result(-a.data, (a,), vjp)
 
@@ -311,8 +305,7 @@ def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
         raise ValueError(f"permute needs an ordering of all {a.ndim} axes, got {axes}")
 
     def vjp(g: Array) -> None:
-        if a.requires_grad:
-            _accum(a, np.transpose(g, np.argsort(axes)))
+        _accum(a, np.transpose(g, np.argsort(axes)))
 
     return _result(np.transpose(a.data, axes), (a,), vjp)
 
@@ -322,8 +315,7 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     data = a.data.reshape(shape)
 
     def vjp(g: Array) -> None:
-        if a.requires_grad:
-            _accum(a, g.reshape(a.data.shape))
+        _accum(a, g.reshape(a.data.shape))
 
     return _result(data, (a,), vjp)
 
@@ -342,8 +334,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     def vjp(g: Array) -> None:
         pieces = np.split(g, offsets, axis=axis)
         for t, piece in zip(tensors, pieces):
-            if t.requires_grad:
-                _accum(t, piece)
+            _accum(t, piece)
 
     return _result(data, tuple(tensors), vjp)
 
@@ -383,8 +374,7 @@ def tsum(a: Tensor, axes: _AxesArg = None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axes, keepdims=keepdims)
 
     def vjp(g: Array) -> None:
-        if a.requires_grad:
-            _accum(a, _spread(g, a.data.shape, axes, keepdims).copy())
+        _accum(a, _spread(g, a.data.shape, axes, keepdims).copy())
 
     return _result(data, (a,), vjp)
 
@@ -395,8 +385,7 @@ def mean(a: Tensor, axes: _AxesArg = None, keepdims: bool = False) -> Tensor:
     data = a.data.mean(axis=axes, keepdims=keepdims)
 
     def vjp(g: Array) -> None:
-        if a.requires_grad:
-            _accum(a, _spread(g, a.data.shape, axes, keepdims) / count)
+        _accum(a, _spread(g, a.data.shape, axes, keepdims) / count)
 
     return _result(data, (a,), vjp)
 
@@ -410,8 +399,7 @@ def sigmoid(a: Tensor) -> Tensor:
     data = np.where(a.data >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
 
     def vjp(g: Array) -> None:
-        if a.requires_grad:
-            _accum(a, g * data * (1.0 - data))
+        _accum(a, g * data * (1.0 - data))
 
     return _result(data, (a,), vjp)
 
@@ -420,55 +408,127 @@ def relu(a: Tensor) -> Tensor:
     data = np.maximum(a.data, 0.0)
 
     def vjp(g: Array) -> None:
-        if a.requires_grad:
-            _accum(a, g * (a.data > 0))
+        _accum(a, g * (a.data > 0))
 
     return _result(data, (a,), vjp)
 
 
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis, computed with max-subtraction."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=-1, keepdims=True)
+def _layer_norm_fwd(x: Array, gamma: Array, beta: Array, eps: float) -> tuple[Array, Array, Array]:
+    """(xhat * gamma + beta, xhat, inv): xhat = (x - mean) * inv over the last axis."""
+    # in-place updates on fresh arrays: each new full-size temporary costs page faults
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    inv = np.power((xhat * xhat).mean(axis=-1, keepdims=True) + eps, -0.5)
+    xhat *= inv
+    out = xhat * gamma
+    out += beta
+    return out, xhat, inv
 
-    def vjp(g: Array) -> None:
-        if a.requires_grad:
-            inner = (g * data).sum(axis=-1, keepdims=True)
-            _accum(a, data * (g - inner))
 
-    return _result(data, (a,), vjp)
+def _layer_norm_vjp(g: Array, xhat: Array, inv: Array, gamma: Tensor, beta: Tensor) -> Array:
+    """Accumulate the gamma and beta grads; return the (rows, d) input grad
+    inv * (dxh - mean(dxh) - xh * mean(dxh * xh)), dxh = g * gamma, row means as GEMVs."""
+    d = xhat.shape[-1]
+    g, xhat, inv = g.reshape(-1, d), xhat.reshape(-1, d), inv.reshape(-1, 1)
+    gx = g * xhat
+    _accum(gamma, gx.sum(axis=0))
+    _accum(beta, g.sum(axis=0))
+    gx *= gamma.data  # dxh * xh
+    row_mean = np.full((d, 1), 1.0 / d)
+    dxhat = g * gamma.data
+    np.multiply(xhat, gx @ row_mean, out=gx)
+    gx += dxhat @ row_mean
+    np.subtract(dxhat, gx, out=dxhat)
+    dxhat *= inv
+    return dxhat
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     """Normalize the last axis to zero mean and unit variance, then scale by
-    ``gamma`` and shift by ``beta`` (both shaped like that axis).
-
-    One op in place of the composed mean/variance graph; the backward is the
-    closed form inv * (dxh - mean(dxh) - xh * mean(dxh * xh)) with
-    dxh = g * gamma.
-    """
+    ``gamma`` and shift by ``beta`` (both shaped like that axis); one op with a
+    closed-form backward in place of the composed mean/variance graph."""
     d = x.data.shape[-1]
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ValueError(f"layer_norm gamma and beta must have shape ({d},)")
-    # in-place updates on fresh arrays: each new full-size temporary costs page faults
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = np.power((xhat * xhat).mean(axis=-1, keepdims=True) + eps, -0.5)
-    xhat *= inv
-    data = xhat * gamma.data
-    data += beta.data
+    data, xhat, inv = _layer_norm_fwd(x.data, gamma.data, beta.data, eps)
 
     def vjp(g: Array) -> None:
-        if gamma.requires_grad:
-            _accum(gamma, (g * xhat).reshape(-1, d).sum(axis=0))
-        if beta.requires_grad:
-            _accum(beta, g.reshape(-1, d).sum(axis=0))
-        if x.requires_grad:
-            dxhat = g * gamma.data
-            inner = dxhat.mean(axis=-1, keepdims=True) + xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            _accum(x, inv * (dxhat - inner))
+        _accum(x, _layer_norm_vjp(g, xhat, inv, gamma, beta).reshape(x.data.shape))
 
     return _result(data, (x, gamma, beta), vjp)
+
+
+def encoder_layer(
+    x: Tensor, ln1: tuple[Tensor, Tensor], heads: Sequence[tuple[Tensor, Tensor, Tensor]], wo: Tensor,
+    ln2: tuple[Tensor, Tensor], ffn: tuple[Tensor, Tensor, Tensor, Tensor], eps: float, dropout_rate: float,
+    training: bool = False, rng: np.random.Generator | None = None, attn_sink: list[Tensor] | None = None,
+) -> Tensor:
+    """One pre-norm transformer layer over (N, p, d) rows as one graph node with a
+    closed-form backward: x1 = x + drop(concat_j(softmax(q_j k_j^T / sqrt(dk)) v_j) @ wo)
+    with q/k/v from LN1(x), then x1 + drop(relu(LN2(x1) @ w1 + b1) @ w2 + b2).
+    ``heads`` holds each head's (wq, wk, wv), packed per call into one (d, 3d) GEMM;
+    the heads run batched as (N, h, p, dk).  ``ffn`` is (w1, b1, w2, b2).  Keep-masks
+    are drawn as ``dropout`` draws them, attention first; each head's (N, p, p)
+    softmax goes to ``attn_sink``."""
+    n, p, d = x.data.shape
+    h, dk = len(heads), d // len(heads)
+    w1, b1, w2, b2 = ffn
+    weights = [w for group in zip(*heads) for w in group]  # every wq, then every wk, then every wv
+    wqkv = np.concatenate([w.data for w in weights], axis=1)
+    scale = 1.0 / np.sqrt(dk)
+    n1, xhat1, inv1 = _layer_norm_fwd(x.data.reshape(-1, d), ln1[0].data, ln1[1].data, eps)
+    q, k, v = (n1 @ wqkv).reshape(n, p, 3, h, dk).transpose(2, 0, 3, 1, 4)
+    attn = np.matmul(q, k.swapaxes(-1, -2))  # (N, h, p, p); the softmax runs in place
+    attn *= scale
+    attn -= attn.max(axis=-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
+    ctx = np.matmul(attn, v).transpose(0, 2, 1, 3).reshape(-1, d)
+    x1 = ctx @ wo.data
+    if (keep1 := _keep_mask(x1.shape, dropout_rate, training, rng)) is not None:
+        x1 *= keep1
+    x1 += x.data.reshape(-1, d)
+    n2, xhat2, inv2 = _layer_norm_fwd(x1, ln2[0].data, ln2[1].data, eps)
+    hidden = n2 @ w1.data
+    hidden += b1.data
+    np.maximum(hidden, 0.0, out=hidden)
+    out = hidden @ w2.data
+    out += b2.data
+    if (keep2 := _keep_mask(out.shape, dropout_rate, training, rng)) is not None:
+        out *= keep2
+    out += x1
+    if attn_sink is not None:
+        attn_sink.extend(Tensor(attn[:, j]) for j in range(h))
+
+    def vjp(g: Array) -> None:
+        g = g.reshape(-1, d)
+        gff = g if keep2 is None else g * keep2
+        _accum(b2, gff.sum(axis=0))
+        _accum(w2, hidden.T @ gff)
+        ghid = gff @ w2.data.T
+        ghid *= hidden > 0
+        _accum(b1, ghid.sum(axis=0))
+        _accum(w1, n2.T @ ghid)
+        gx1 = _layer_norm_vjp(ghid @ w1.data.T, xhat2, inv2, *ln2)
+        gx1 += g
+        gatt = gx1 if keep1 is None else gx1 * keep1
+        _accum(wo, ctx.T @ gatt)
+        gctx = (gatt @ wo.data.T).reshape(n, p, h, dk).transpose(0, 2, 1, 3)
+        gqkv = np.empty((n, p, 3, h, dk))
+        gq, gk, gv = gqkv.transpose(2, 0, 3, 1, 4)
+        np.matmul(attn.swapaxes(-1, -2), gctx, out=gv)
+        gs = np.matmul(gctx, v.swapaxes(-1, -2))  # softmax VJP: s * (g - sum(g * s)) * scale
+        gs -= (gs * attn).sum(axis=-1, keepdims=True)
+        gs *= attn
+        gs *= scale
+        np.matmul(gs, k, out=gq)
+        np.matmul(gs.swapaxes(-1, -2), q, out=gk)
+        gqkv = gqkv.reshape(-1, 3 * d)
+        for w, gw in zip(weights, np.split(n1.T @ gqkv, 3 * h, axis=1)):
+            _accum(w, gw)
+        gx1 += _layer_norm_vjp(gqkv @ wqkv.T, xhat1, inv1, *ln1)  # gatt is spent, so gx1 is free
+        _accum(x, gx1.reshape(x.data.shape))
+
+    return _result(out.reshape(n, p, d), (x, *ln1, *weights, wo, *ln2, *ffn), vjp)
 
 
 def log(a: Tensor) -> Tensor:
@@ -476,8 +536,7 @@ def log(a: Tensor) -> Tensor:
         data = np.log(a.data)
 
     def vjp(g: Array) -> None:
-        if a.requires_grad:
-            _accum(a, g / a.data)
+        _accum(a, g / a.data)
 
     return _result(data, (a,), vjp)
 
@@ -487,8 +546,7 @@ def exp(a: Tensor) -> Tensor:
         data = np.exp(a.data)
 
     def vjp(g: Array) -> None:
-        if a.requires_grad:
-            _accum(a, g * data)
+        _accum(a, g * data)
 
     return _result(data, (a,), vjp)
 
@@ -499,10 +557,9 @@ def power(a: Tensor, exponent: float) -> Tensor:
         data = np.power(a.data, exponent)
 
     def vjp(g: Array) -> None:
-        if a.requires_grad:
-            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-                local = exponent * np.power(a.data, exponent - 1.0)
-            _accum(a, g * local)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            local = exponent * np.power(a.data, exponent - 1.0)
+        _accum(a, g * local)
 
     return _result(data, (a,), vjp)
 
@@ -514,26 +571,31 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     data = np.clip(a.data, lo, hi)
 
     def vjp(g: Array) -> None:
-        if a.requires_grad:
-            _accum(a, g * ((a.data >= lo) & (a.data <= hi)))
+        _accum(a, g * ((a.data >= lo) & (a.data <= hi)))
 
     return _result(data, (a,), vjp)
 
 
-def dropout(a: Tensor, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: survivors scale by 1/(1-rate); identity in eval mode."""
+def _keep_mask(shape: tuple[int, ...], rate: float, training: bool, rng: np.random.Generator | None) -> Array | None:
+    """Inverted-dropout multipliers (0 or 1/(1-rate)), or None when dropout is the identity."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
-        return a
+        return None
     if rng is None:
         raise ValueError("training-mode dropout needs an explicit rng")
-    keep = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
+    return (rng.random(shape) >= rate) / (1.0 - rate)
+
+
+def dropout(a: Tensor, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
+    """Inverted dropout: survivors scale by 1/(1-rate); identity in eval mode."""
+    keep = _keep_mask(a.data.shape, rate, training, rng)
+    if keep is None:
+        return a
     data = a.data * keep
 
     def vjp(g: Array) -> None:
-        if a.requires_grad:
-            _accum(a, g * keep)
+        _accum(a, g * keep)
 
     return _result(data, (a,), vjp)
 

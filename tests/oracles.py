@@ -6,8 +6,10 @@ The exceptions are earlier versions of rewritten kernels, kept verbatim as
 oracles for their replacements: the per-tap ``conv1d``, the composed
 ``layer_norm`` (built from the package's primitive ops rather than the fused
 op), the broadcast ``matmul`` (no weight fold, no fused bias) with the
-encoder built from it and ``transpose_last2``, the per-day ``label_days`` loop and the tie-grouping
-loops of ``roc_auc`` / ``pr_auc``.  The baseline objective gradients live here too,
+encoder built from it and ``transpose_last2``, the ``softmax`` op and the
+graph-level encoder built from it (replaced by the fused ``encoder_layer``),
+the per-day ``label_days`` loop and the tie-grouping loops of ``roc_auc`` /
+``pr_auc``.  The baseline objective gradients live here too,
 since only tests evaluate them.
 """
 
@@ -145,6 +147,20 @@ def transpose_last2(a: T.Tensor) -> T.Tensor:
     return T._result(np.swapaxes(a.data, -1, -2), (a,), vjp)
 
 
+def softmax(a: T.Tensor) -> T.Tensor:
+    """The softmax op over the last axis (max-subtraction), as the package had it."""
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    data = e / e.sum(axis=-1, keepdims=True)
+
+    def vjp(g):
+        if a.requires_grad:
+            inner = (g * data).sum(axis=-1, keepdims=True)
+            T._accum(a, data * (g - inner))
+
+    return T._result(data, (a,), vjp)
+
+
 def per_head_mhsa_encoder(x: T.Tensor, cfg, params: dict) -> T.Tensor:
     """The eval-mode encoder built from ``broadcast_matmul``, ``transpose_last2``,
     the composed layer norm and separate bias adds."""
@@ -157,12 +173,37 @@ def per_head_mhsa_encoder(x: T.Tensor, cfg, params: dict) -> T.Tensor:
             q = broadcast_matmul(normed, params[f"{base}.attn.head{j}.wq"])
             k = broadcast_matmul(normed, params[f"{base}.attn.head{j}.wk"])
             v = broadcast_matmul(normed, params[f"{base}.attn.head{j}.wv"])
-            attn = T.softmax(broadcast_matmul(q, transpose_last2(k)) * scale)
+            attn = softmax(broadcast_matmul(q, transpose_last2(k)) * scale)
             head_outs.append(broadcast_matmul(attn, v))
         x = x + broadcast_matmul(T.concat(head_outs, axis=-1), params[f"{base}.attn.wo"])
         normed = composed_layer_norm(x, params[f"{base}.ln2.gamma"], params[f"{base}.ln2.beta"], 1e-5)
         hidden = T.relu(broadcast_matmul(normed, params[f"{base}.ffn.w1"]) + params[f"{base}.ffn.b1"])
         x = x + (broadcast_matmul(hidden, params[f"{base}.ffn.w2"]) + params[f"{base}.ffn.b2"])
+    return x
+
+
+def graph_mhsa_encoder(x: T.Tensor, cfg, params: dict, training=False, rng=None, attn_sink=None) -> T.Tensor:
+    """The encoder as a graph of the package's ops, one node per matmul, softmax,
+    dropout and residual add, exactly as ``model.mhsa_encoder`` was built."""
+    scale = 1.0 / math.sqrt(cfg.head_dim)
+    for layer in range(cfg.encoder_layers):
+        base = f"encoder{layer}"
+        normed = T.layer_norm(x, params[f"{base}.ln1.gamma"], params[f"{base}.ln1.beta"], 1e-5)
+        head_outs = []
+        for j in range(cfg.heads):
+            q = T.matmul(normed, params[f"{base}.attn.head{j}.wq"])
+            k = T.matmul(normed, params[f"{base}.attn.head{j}.wk"])
+            v = T.matmul(normed, params[f"{base}.attn.head{j}.wv"])
+            attn = softmax(T.matmul(q, T.permute(k, (0, 2, 1))) * scale)
+            if attn_sink is not None:
+                attn_sink.append(attn)
+            head_outs.append(T.matmul(attn, v))
+        attended = T.matmul(T.concat(head_outs, axis=-1), params[f"{base}.attn.wo"])
+        x = x + T.dropout(attended, cfg.dropout_rate, training, rng)
+        normed = T.layer_norm(x, params[f"{base}.ln2.gamma"], params[f"{base}.ln2.beta"], 1e-5)
+        hidden = T.relu(T.matmul(normed, params[f"{base}.ffn.w1"]) + params[f"{base}.ffn.b1"])
+        ff = T.matmul(hidden, params[f"{base}.ffn.w2"], params[f"{base}.ffn.b2"])
+        x = x + T.dropout(ff, cfg.dropout_rate, training, rng)
     return x
 
 

@@ -14,7 +14,7 @@ from seizureformer.baselines import (
     poisson_predict,
     window_features,
 )
-from seizureformer.data import WindowSample
+from seizureformer.data import DataError, WindowSample
 from seizureformer.train import TrainConfig, train_loop
 
 from oracles import logistic_gradient, poisson_gradient
@@ -59,7 +59,7 @@ class TestLogistic:
         assert probs[1] > probs[0]
 
     def test_single_class_errors(self):
-        with pytest.raises(ValueError, match="both classes"):
+        with pytest.raises(DataError, match="both classes"):
             logistic_fit(np.ones((3, 2)), np.zeros(3))
 
     def test_gradient_norm_at_optimum(self):

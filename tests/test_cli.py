@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from seizureformer import gradcheck, kv
+from seizureformer import cli, gradcheck, kv
 from seizureformer.cli import load_run_config, main
 from seizureformer.tensor import Tensor
 
@@ -103,6 +103,15 @@ class TestTrainCommand:
         assert "data_sha256=" in manifest
         assert (out / "checkpoint.txt").exists()
         assert (out / "history.csv").exists()
+
+    def test_history_fields_are_numbers(self, synth_csv, tmp_path):
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(synth_csv), "--horizon", "1", "--out-dir", str(out)] + FAST_TRAIN) == 0
+        header, *rows = (out / "history.csv").read_text().splitlines()
+        assert header == "epoch,train_loss,val_roc_auc"
+        assert len(rows) == 2
+        for row in rows:
+            [float(field) for field in row.split(",")]
 
     def test_ablate_se_recorded(self, synth_csv, tmp_path):
         out = tmp_path / "run-se"
@@ -257,6 +266,20 @@ class TestBenchmarkCommand:
         assert code == 0
         rows = [l for l in out.read_text().splitlines()[1:] if l.split(",")[1] != "mean"]
         assert all(l.endswith(",NA,NA") for l in rows)
+        reasons = (tmp_path / "na.csv.na").read_text().splitlines()
+        assert [r.split(":")[0] for r in reasons] == [l.removesuffix(",NA,NA") for l in rows]
+
+    @pytest.mark.parametrize("error, code", [(ValueError, 1), (FloatingPointError, 3)])
+    def test_cell_bug_is_not_na(self, tmp_path, monkeypatch, error, code):
+        """Only degenerate data (DataError) makes a cell NA; a bug exits under its own code."""
+        def broken_split(samples):
+            raise error("injected")
+
+        monkeypatch.setattr(cli, "split_chronological", broken_split)
+        out = tmp_path / "t.csv"
+        assert main(["benchmark", "--cohort-seeds", "1", "--horizons", "1", "--days", "240", "--out", str(out)]
+                    + FAST_TRAIN) == code
+        assert not out.exists()
 
     def test_failed_table_write_leaves_old_table(self, tmp_path, monkeypatch):
         out = tmp_path / "table.csv"

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from seizureformer.data import DataError
 from seizureformer.metrics import pr_auc, report, roc_auc
 
 from oracles import loop_pr_auc, loop_roc_auc, pairwise_roc_auc, sweep_pr_auc
@@ -20,7 +21,8 @@ def random_case(rng, n_max=300):
 
 class TestRocAuc:
     def test_perfect_pair(self):
-        assert roc_auc([0.9, 0.1], [1, 0]) == 1.0
+        auc = roc_auc([0.9, 0.1], [1, 0])
+        assert auc == 1.0 and type(auc) is float  # a numpy scalar would repr as np.float64(...)
 
     def test_all_ties(self):
         assert roc_auc([0.5] * 6, [1, 0, 1, 0, 0, 1]) == 0.5
@@ -32,7 +34,7 @@ class TestRocAuc:
             assert abs(roc_auc(scores, labels) - pairwise_roc_auc(scores, labels)) < 1e-12
 
     def test_single_class_errors(self):
-        with pytest.raises(ValueError, match="single class"):
+        with pytest.raises(DataError, match="single class"):
             roc_auc([0.1, 0.2], [1, 1])
 
 
@@ -50,7 +52,7 @@ class TestPrAuc:
             assert abs(pr_auc(scores, labels) - sweep_pr_auc(scores, labels)) < 1e-12
 
     def test_no_positives_errors(self):
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(DataError, match="positive"):
             pr_auc([0.1, 0.2], [0, 0])
 
 

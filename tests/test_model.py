@@ -24,7 +24,7 @@ from seizureformer.model import (
 )
 from seizureformer.tensor import Tensor, grad_check
 
-from oracles import naive_conv1d, naive_conv2d, per_head_mhsa_encoder
+from oracles import graph_mhsa_encoder, naive_conv1d, naive_conv2d, per_head_mhsa_encoder
 
 TINY = dict(
     lookback=16, patch_length=4, stride=2, kernel_sizes=(3, 5), embed_features=3,
@@ -232,6 +232,57 @@ class TestMhsaEncoder:
         assert len(encoder) == (9 + 3 * heads) * layers
         for name in encoder:
             assert_allclose(params[name].grad, oracle_params[name].grad, rtol=0, atol=1e-12, err_msg=name)
+
+    @given(
+        heads=st.integers(1, 3), dk=st.integers(1, 4), layers=st.integers(1, 2), n=st.integers(1, 3),
+        p=st.integers(1, 5), training=st.booleans(), seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_fused_layers_match_graph_oracle(self, heads, dk, layers, n, p, training, seed):
+        """One ``encoder_layer`` node per layer against the graph it replaced, in eval
+        mode and with dropout on: output, attention maps, the rng draws, and the
+        input and every parameter grad."""
+        cfg = ModelConfig(**{**TINY, "embed_dim": heads * dk, "heads": heads, "encoder_layers": layers,
+                             "ffn_dim": 5, "dropout_rate": 0.3})
+        rng = np.random.default_rng(seed)
+        params = init_params(cfg, rng)
+        for t in params.values():  # non-trivial biases and layer-norm affines too
+            t.data = 0.5 * rng.standard_normal(t.shape)
+        oracle_params = {k: Tensor(t.data, requires_grad=True) for k, t in params.items()}
+        x = rng.standard_normal((n, p, cfg.embed_dim))
+        g = Tensor(rng.standard_normal(x.shape))
+
+        xt, xo = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
+        rng_t, rng_o = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        sink_t, sink_o = [], []
+        out = mhsa_encoder(xt, cfg, params, training, rng_t, sink_t)
+        ref = graph_mhsa_encoder(xo, cfg, oracle_params, training, rng_o, sink_o)
+        assert_allclose(out.data, ref.data, rtol=1e-12, atol=1e-12)
+        assert len(sink_t) == len(sink_o) == heads * layers
+        for fused, graph in zip(sink_t, sink_o):
+            assert_allclose(fused.data, graph.data, rtol=1e-12, atol=1e-12)
+        assert rng_t.random() == rng_o.random()
+
+        T.tsum(T.mul(out, g)).backward()
+        T.tsum(T.mul(ref, g)).backward()
+        assert_allclose(xt.grad, xo.grad, rtol=1e-12, atol=1e-12)
+        for name in params:
+            if name.startswith("encoder"):
+                assert_allclose(params[name].grad, oracle_params[name].grad, rtol=1e-12, atol=1e-12, err_msg=name)
+
+    def test_default_width_forward_bytes_match_graph_oracle(self):
+        """At the default and reference widths, eval and seeded training-mode forwards
+        are the same bytes as the graph-level encoder (tiny widths such as dk=1 take
+        other BLAS paths, so the sweep above uses a tolerance)."""
+        for cfg in (ModelConfig(), ModelConfig.reference_preset()):
+            params = init_params(cfg, np.random.default_rng(15))
+            x = Tensor(np.random.default_rng(16).standard_normal((16 * cfg.channels, cfg.patch_count, cfg.embed_dim)))
+            for training in (False, True):
+                sink_t, sink_o = [], []
+                out = mhsa_encoder(x, cfg, params, training, np.random.default_rng(17), sink_t)
+                ref = graph_mhsa_encoder(x, cfg, params, training, np.random.default_rng(17), sink_o)
+                assert out.data.tobytes() == ref.data.tobytes()
+                assert [a.data.tobytes() for a in sink_t] == [a.data.tobytes() for a in sink_o]
 
 
 class TestSeRecalibrate:

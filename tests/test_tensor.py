@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -16,6 +16,7 @@ from oracles import (
     naive_matmul,
     per_tap_conv1d,
     per_tap_conv1d_vjp,
+    softmax,
 )
 
 # leading batch axes for the kernel-vs-oracle sweeps
@@ -211,6 +212,7 @@ class TestLayerNorm:
             T.layer_norm(Tensor(np.ones((2, 3))), Tensor(np.ones(2)), Tensor(np.zeros(3)), 1e-5)
 
     @given(lead=lead_shapes, d=st.integers(1, 8), seed=st.integers(0, 2**16))
+    @example(lead=(3, 3), d=2, seed=498)  # grads near 75: the summation orders differ by 2.5e-12
     @settings(max_examples=80, deadline=None)
     def test_matches_composed_graph(self, lead, d, seed):
         """Fused op vs the composed primitive-op graph it replaced: forward and
@@ -226,7 +228,7 @@ class TestLayerNorm:
             T.tsum(T.mul(out, Tensor(g))).backward()
             results.append([out.data] + [t.grad for t in leaves])
         for fused, composed in zip(*results):
-            assert_allclose(fused, composed, rtol=0, atol=1e-12)
+            assert_allclose(fused, composed, rtol=1e-12, atol=1e-12)
 
 
 class TestTakeLast:
@@ -251,9 +253,9 @@ class TestNoGrad:
         rng = np.random.default_rng(14)
         w = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
         x = Tensor(rng.standard_normal((2, 6, 5)))
-        recorded = T.softmax(T.matmul(x, w))
+        recorded = softmax(T.matmul(x, w))
         with T.no_grad():
-            free = T.softmax(T.matmul(x, w))
+            free = softmax(T.matmul(x, w))
         assert recorded.requires_grad
         assert free.data.tobytes() == recorded.data.tobytes()
 
@@ -302,19 +304,21 @@ class TestConv2d:
 
 
 class TestSoftmax:
+    """The oracle softmax that the fused encoder layer is checked against."""
+
     def test_symmetric_pair(self):
-        assert_allclose(T.softmax(Tensor([0.0, 0.0])).data, [0.5, 0.5])
+        assert_allclose(softmax(Tensor([0.0, 0.0])).data, [0.5, 0.5])
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal(9)
-        base = T.softmax(Tensor(x)).data
-        shifted = T.softmax(Tensor(x + 123.45)).data
+        base = softmax(Tensor(x)).data
+        shifted = softmax(Tensor(x + 123.45)).data
         assert_allclose(base, shifted, atol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(7)
-        out = T.softmax(Tensor(rng.standard_normal((7, 7)))).data
+        out = softmax(Tensor(rng.standard_normal((7, 7)))).data
         assert_allclose(out.sum(axis=-1), np.ones(7), atol=1e-12)
         assert np.all(out > 0)
 
