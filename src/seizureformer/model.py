@@ -14,6 +14,7 @@ the SE gate fall back to identity.
 
 from __future__ import annotations
 
+import base64
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -348,7 +349,7 @@ class SeizureFormer:
 
 # -- checkpoint I/O -----------------------------------------------------------
 
-_CHECKPOINT_MAGIC = "risk-model-checkpoint-v2"
+_CHECKPOINT_MAGIC = "risk-model-checkpoint-v3"
 
 # what a model was trained under besides its config; `eval` must match them and config.lookback
 PIPELINE_KEYS = {"label_window": int, "label_fraction": float, "min_history": int, "horizon": int}
@@ -363,15 +364,15 @@ class _ZeroDraws:
 
 
 def save_checkpoint(path: str | Path, cfg: ModelConfig, params: dict[str, Tensor], pipeline: dict) -> None:
-    """Self-describing flat text: pipeline and config lines, then name/shape/values
-    triples.  Values are written with repr so the round trip is bit-exact."""
+    """Self-describing flat text: pipeline and config lines, then per parameter a
+    name/shape line and one base64 line of its little-endian float64 bytes (bit-exact)."""
     lines = [f"format={_CHECKPOINT_MAGIC}"]
     lines += [f"pipeline.{name}={kv.format_value(pipeline[name])}" for name in PIPELINE_KEYS]
     for name in kv.field_types(ModelConfig):
         lines.append(f"config.{name}={kv.format_value(getattr(cfg, name))}")
     for name, t in params.items():
         lines.append(f"param={name} shape={kv.format_value(t.data.shape)}")
-        lines.append(" ".join(map(repr, t.data.reshape(-1).tolist())))
+        lines.append(base64.b64encode(t.data.astype("<f8").tobytes()).decode("ascii"))
     kv.write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -380,8 +381,8 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, Tensor], d
     The parameter names and shapes must be exactly those ``init_params``
     makes for the stored config."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if lines[:1] == ["format=risk-model-checkpoint-v1"]:
-        raise ValueError(f"{path} is a v1 checkpoint (no pipeline settings); retrain the model to write v2")
+    if lines[:1] in (["format=risk-model-checkpoint-v1"], ["format=risk-model-checkpoint-v2"]):
+        raise ValueError(f"{path} is a {lines[0][-2:]} checkpoint; retrain the model to write v3")
     if not lines or lines[0] != f"format={_CHECKPOINT_MAGIC}":
         raise ValueError(f"{path} is not a recognized checkpoint")
     kinds = {"pipeline": PIPELINE_KEYS, "config": kv.field_types(ModelConfig)}
@@ -391,6 +392,8 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, Tensor], d
         key, _, raw = lines[i][len(section) + 1 :].partition("=")
         if key not in kinds[section]:
             raise ValueError(f"{path}:{i + 1}: unknown {section} key {key!r}")
+        if key in header[section]:
+            raise ValueError(f"{path}:{i + 1}: repeated {section} key {key!r}")
         header[section][key] = kv.parse_value(key, raw, kinds[section][key])
         i += 1
     for section, values in header.items():
@@ -414,14 +417,16 @@ def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, Tensor], d
         if n + 1 == len(lines):
             raise ValueError(f"{path}: truncated, no values for parameter {name!r}")
         try:
-            values = np.array([float(v) for v in lines[n + 1].split()], dtype=np.float64)
-        except ValueError:
-            raise ValueError(f"{path}:{n + 2}: unreadable values for parameter {name!r}") from None
-        if values.size != math.prod(shape):
-            raise ValueError(f"{path}:{n + 2}: parameter {name!r} has {values.size} values, needs {math.prod(shape)}")
+            raw = base64.b64decode(lines[n + 1], validate=True)
+        except ValueError:  # binascii.Error
+            raise ValueError(f"{path}:{n + 2}: values for parameter {name!r} are not valid base64") from None
+        if len(raw) != 8 * math.prod(shape):
+            raise ValueError(f"{path}:{n + 2}: parameter {name!r} has {len(raw)} bytes, needs {8 * math.prod(shape)}")
+        values = np.frombuffer(raw, "<f8").astype(np.float64)  # a writable, native-order copy
+        if not np.isfinite(values).all():
+            raise ValueError(f"{path}:{n + 2}: parameter {name!r} has a non-finite value")
         params[name] = Tensor(values.reshape(shape), requires_grad=True)
-    missing = [name for name in expected if name not in params]
-    if missing:
+    if missing := [name for name in expected if name not in params]:
         raise ValueError(f"{path}: missing parameters {', '.join(missing)}")
     return cfg, params, header["pipeline"]
 

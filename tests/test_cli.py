@@ -1,3 +1,4 @@
+import base64
 import hashlib
 
 import numpy as np
@@ -183,12 +184,31 @@ class TestEvalCommand:
 
     def test_v1_checkpoint_exits_one(self, synth_csv, trained_checkpoint, tmp_path, capsys):
         lines = trained_checkpoint.read_text().splitlines()
-        old = tmp_path / "v1.txt"
-        old.write_text("\n".join(["format=risk-model-checkpoint-v1"] + lines[1:]) + "\n")
+        for version in ("v1", "v2"):
+            old = tmp_path / f"{version}.txt"
+            old.write_text("\n".join([f"format=risk-model-checkpoint-{version}"] + lines[1:]) + "\n")
+            capsys.readouterr()
+            assert main(["eval", "--data", str(synth_csv), "--checkpoint", str(old), "--horizon", "1"]) == 1
+            err = capsys.readouterr().err
+            assert f"{version} checkpoint" in err and "retrain" in err
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda v: v[:-1], "are not valid base64"),
+            (lambda v: base64.b64encode(base64.b64decode(v)[:-8]).decode("ascii"), "bytes, needs"),
+        ],
+    )
+    def test_corrupt_values_exit_one_naming_the_line(self, synth_csv, trained_checkpoint, tmp_path, capsys,
+                                                     corrupt, message):
+        lines = trained_checkpoint.read_text().splitlines()
+        at = next(n for n, l in enumerate(lines) if l.startswith("param=se.w1 ")) + 1
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines[:at] + [corrupt(lines[at])] + lines[at + 1 :]) + "\n")
         capsys.readouterr()
-        assert main(["eval", "--data", str(synth_csv), "--checkpoint", str(old), "--horizon", "1"]) == 1
+        assert main(["eval", "--data", str(synth_csv), "--checkpoint", str(bad), "--horizon", "1"]) == 1
         err = capsys.readouterr().err
-        assert "v1 checkpoint" in err and "retrain" in err
+        assert f"{bad}:{at + 1}: " in err and "'se.w1'" in err and message in err
 
 
 class TestGradcheckCommand:

@@ -1,3 +1,4 @@
+import base64
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from seizureformer import kv
+from seizureformer import kv, train
 from seizureformer import tensor as T
 from seizureformer.model import (
     ModelConfig,
@@ -464,6 +465,10 @@ class TestCheckpoint:
         model = small_model(seed=6)
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         save_checkpoint(a, model.config, model.params, PIPELINE)
+        lines = a.read_text().splitlines()
+        for name, t in model.params.items():
+            at = lines.index(f"param={name} shape={kv.format_value(t.shape)}")
+            assert lines[at + 1] == base64.b64encode(t.data.astype("<f8").tobytes()).decode("ascii")
         cfg, params, pipeline = load_checkpoint(a)
         assert cfg == model.config
         assert pipeline == PIPELINE and type(pipeline["label_fraction"]) is float
@@ -471,6 +476,54 @@ class TestCheckpoint:
             assert t.data.tobytes() == params[name].data.tobytes()
         save_checkpoint(b, cfg, params, pipeline)
         assert a.read_bytes() == b.read_bytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        embed_dim=st.sampled_from([2, 4, 6]),
+        heads=st.sampled_from([1, 2]),
+        encoder_layers=st.integers(1, 2),
+        ffn_dim=st.integers(1, 6),
+        embed_features=st.integers(1, 3),
+        pool=st.lists(
+            st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from([-0.0, 5e-324, -5e-324, 1e-310, np.finfo(np.float64).max, -np.finfo(np.float64).max]),
+            min_size=1,
+            max_size=8,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_roundtrip_special_values_bit_exact(self, tmp_path_factory, embed_dim, heads, encoder_layers, ffn_dim,
+                                                embed_features, pool, seed):
+        model = small_model(seed=0, embed_dim=embed_dim, heads=heads, encoder_layers=encoder_layers,
+                            ffn_dim=ffn_dim, embed_features=embed_features)
+        rng = np.random.default_rng(seed)
+        for t in model.params.values():
+            t.data = rng.choice(np.array(pool), size=t.shape)
+        path = tmp_path_factory.mktemp("ckpt") / "m.txt"
+        save_checkpoint(path, model.config, model.params, PIPELINE)
+        cfg, params, _ = load_checkpoint(path)
+        assert cfg == model.config and list(params) == list(model.params)
+        for name, t in model.params.items():
+            assert params[name].data.tobytes() == t.data.tobytes()
+
+    def test_two_saves_write_identical_bytes(self, tmp_path):
+        model = small_model(seed=6)
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        save_checkpoint(a, model.config, model.params, PIPELINE)
+        save_checkpoint(b, model.config, model.params, PIPELINE)
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_loaded_parameters_are_writable_float64(self, tmp_path):
+        model = small_model(seed=6)
+        save_checkpoint(tmp_path / "m.txt", model.config, model.params, PIPELINE)
+        loaded, _ = model_from_checkpoint(tmp_path / "m.txt")
+        before = {name: t.data.copy() for name, t in loaded.params.items()}
+        for t in loaded.params.values():
+            assert t.data.dtype == np.float64 and t.data.dtype.isnative and t.data.flags.writeable
+            t.data += 0.0  # an in-place update must not raise
+            t.grad = np.ones_like(t.data)
+        train.optimizer_step(loaded.params, train.OptimizerState("adam"), lr=1e-2)
+        assert all(not np.array_equal(before[name], t.data) for name, t in loaded.params.items())
 
     def test_loaded_model_same_predictions(self, tmp_path):
         model = small_model(seed=7)
@@ -488,9 +541,10 @@ class TestCheckpoint:
 
     def test_v1_rejected_with_retrain_message(self, tmp_path):
         path, lines = self._saved_lines(tmp_path)
-        path.write_text("\n".join(["format=risk-model-checkpoint-v1"] + lines[1:]) + "\n")
-        with pytest.raises(ValueError, match="is a v1 checkpoint.*retrain"):
-            load_checkpoint(path)
+        for version in ("v1", "v2"):
+            path.write_text("\n".join([f"format=risk-model-checkpoint-{version}"] + lines[1:]) + "\n")
+            with pytest.raises(ValueError, match=f"is a {version} checkpoint.*retrain the model to write v3"):
+                load_checkpoint(path)
 
     @staticmethod
     def _saved_lines(tmp_path):
@@ -502,7 +556,7 @@ class TestCheckpoint:
     def test_header_records_the_pipeline(self, tmp_path):
         _, lines = self._saved_lines(tmp_path)
         assert lines[:5] == [
-            "format=risk-model-checkpoint-v2", "pipeline.label_window=60", "pipeline.label_fraction=0.7",
+            "format=risk-model-checkpoint-v3", "pipeline.label_window=60", "pipeline.label_fraction=0.7",
             "pipeline.min_history=7", "pipeline.horizon=1",
         ]
         assert "config.lookback=16" in lines
@@ -537,15 +591,29 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="missing config keys dropout_rate"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("section, key", [("pipeline", "horizon"), ("config", "use_se")])
+    def test_repeated_header_key_rejected(self, tmp_path, section, key):
+        path, lines = self._saved_lines(tmp_path)
+        at = next(n for n, l in enumerate(lines) if l.startswith(f"{section}.{key}="))
+        path.write_text("\n".join(lines[: at + 1] + [lines[at]] + lines[at + 1 :]) + "\n")
+        with pytest.raises(ValueError, match=f"m.txt:{at + 2}: repeated {section} key '{key}'"):
+            load_checkpoint(path)
+
     def test_truncated_file_rejected(self, tmp_path):
         path, lines = self._saved_lines(tmp_path)
+        assert lines[-2] == "param=head.bias shape=1"
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ValueError, match="truncated, no values for parameter 'head.bias'"):
+            load_checkpoint(path)
+        at = len(lines) - 3  # the values of the parameter before head.bias, cut mid-line
+        path.write_text("\n".join(lines[:at] + [lines[at][: len(lines[at]) // 2]]) + "\n")
+        with pytest.raises(ValueError, match=f"m.txt:{at + 1}: .*base64|m.txt:{at + 1}: .* bytes, needs"):
             load_checkpoint(path)
 
     def test_missing_parameter_rejected(self, tmp_path):
         path, lines = self._saved_lines(tmp_path)
         at = lines.index(next(l for l in lines if l.startswith("param=se.w1 ")))
+        base64.b64decode(lines[at + 1], validate=True)  # the removed pair is the name line and its values
         path.write_text("\n".join(lines[:at] + lines[at + 2 :]) + "\n")
         with pytest.raises(ValueError, match="missing parameters se.w1"):
             load_checkpoint(path)
@@ -554,6 +622,43 @@ class TestCheckpoint:
         path, lines = self._saved_lines(tmp_path)
         path.write_text("\n".join(l.replace("param=head.bias shape=1", "param=head.bias shape=1,1") for l in lines) + "\n")
         with pytest.raises(ValueError, match="'head.bias' has shape"):
+            load_checkpoint(path)
+        # a transposed shape has the right byte count and must still be refused
+        at = lines.index("param=head.weight shape=112,1")
+        path.write_text("\n".join(lines[:at] + ["param=head.weight shape=1,112"] + lines[at + 1 :]) + "\n")
+        with pytest.raises(ValueError, match=f"m.txt:{at + 1}: parameter 'head.weight' has shape"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _replace_values(tmp_path, name, value_line):
+        path, lines = TestCheckpoint._saved_lines(tmp_path)
+        at = next(n for n, l in enumerate(lines) if l.startswith(f"param={name} ")) + 1
+        path.write_text("\n".join(lines[:at] + [value_line(lines[at])] + lines[at + 1 :]) + "\n")
+        return path, at + 1
+
+    @pytest.mark.parametrize("corrupt", [lambda v: v[:-1], lambda v: "!" + v[1:], lambda v: v[:4] + " " + v[4:]])
+    def test_malformed_base64_rejected(self, tmp_path, corrupt):
+        path, line = self._replace_values(tmp_path, "se.w1", corrupt)
+        with pytest.raises(ValueError, match=f"m.txt:{line}: values for parameter 'se.w1' are not valid base64"):
+            load_checkpoint(path)
+
+    def test_wrong_byte_count_rejected(self, tmp_path):
+        def drop_one_value(v):
+            return base64.b64encode(base64.b64decode(v)[:-8]).decode("ascii")
+
+        path, line = self._replace_values(tmp_path, "se.w1", drop_one_value)
+        with pytest.raises(ValueError, match=f"m.txt:{line}: parameter 'se.w1' has .* bytes, needs"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, tmp_path, bad):
+        def poison(v):
+            values = np.frombuffer(base64.b64decode(v), "<f8").copy()
+            values[-1] = bad
+            return base64.b64encode(values.tobytes()).decode("ascii")
+
+        path, line = self._replace_values(tmp_path, "se.w1", poison)
+        with pytest.raises(ValueError, match=f"m.txt:{line}: parameter 'se.w1' has a non-finite value"):
             load_checkpoint(path)
 
     def test_failed_write_keeps_existing_file(self, tmp_path, monkeypatch):
