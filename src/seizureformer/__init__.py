@@ -13,6 +13,7 @@ from .data import (
     PatientSeries,
     RiskLabels,
     WindowSample,
+    WindowSet,
     compute_pos_weight,
     label_days,
     make_windows,
@@ -41,6 +42,7 @@ __all__ = [
     "TrainConfig",
     "TrainHistory",
     "WindowSample",
+    "WindowSet",
     "compute_pos_weight",
     "evaluate",
     "generate_cohort",

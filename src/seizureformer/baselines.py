@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, WindowSample
+from .data import DataError, WindowSample, WindowSet, samples_to_arrays
 from .tensor import Tensor, matmul, sigmoid
 
 GRAD_TOL = 1e-6
@@ -28,13 +28,15 @@ class BaselineModel:
     converged: bool
 
 
-def window_features(samples: list[WindowSample]) -> np.ndarray:
-    """Flattened lookback window per sample plus a trailing intercept column."""
-    flat = np.stack([s.x.reshape(-1) for s in samples])
-    return np.hstack([flat, np.ones((len(samples), 1))])
+def window_features(samples: WindowSet | list[WindowSample]) -> np.ndarray:
+    """Flattened (lookback, channels) window per sample plus a trailing intercept column."""
+    x, _ = samples_to_arrays(samples)
+    return np.hstack([x.transpose(0, 2, 1).reshape(len(x), -1), np.ones((len(x), 1))])
 
 
-def horizon_counts(samples: list[WindowSample]) -> np.ndarray:
+def horizon_counts(samples: WindowSet | list[WindowSample]) -> np.ndarray:
+    if isinstance(samples, WindowSet):
+        return samples.horizon_le_sum.astype(np.float64)
     return np.array([s.horizon_le_sum for s in samples], dtype=np.float64)
 
 
@@ -150,18 +152,18 @@ def poisson_predict(model: BaselineModel, x: np.ndarray) -> np.ndarray:
 
 
 def decompose_window(x: np.ndarray, moving_avg: int = 5) -> tuple[np.ndarray, np.ndarray]:
-    """Split an (n, d) window into a centered-moving-average trend and the
-    seasonal remainder; edges replicate so trend + seasonal == x exactly."""
+    """Split (..., n, d) windows into a centered-moving-average trend over n and
+    the seasonal remainder; edges replicate so trend + seasonal == x exactly."""
     if moving_avg % 2 == 0 or moving_avg < 1:
         raise ValueError(f"moving average window must be odd and positive, got {moving_avg}")
-    n = x.shape[0]
+    n = x.shape[-2]
     if moving_avg > n:
         raise ValueError(f"moving average window {moving_avg} exceeds lookback {n}")
     pad = moving_avg // 2
-    padded = np.pad(x, ((pad, pad), (0, 0)), mode="edge")
+    padded = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(pad, pad), (0, 0)], mode="edge")
     trend = np.zeros_like(x, dtype=np.float64)
     for j in range(moving_avg):
-        trend += padded[j : j + n]
+        trend += padded[..., j : j + n, :]
     trend /= moving_avg
     return trend, x - trend
 
@@ -191,11 +193,7 @@ class DLinearModel:
     def forward(self, x: np.ndarray, training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
         # x arrives (B, channels, lookback); decomposition runs over time
         batch = x.shape[0]
-        windows = np.transpose(x, (0, 2, 1))  # (B, n, d)
-        trends = np.empty_like(windows)
-        for i in range(batch):
-            trends[i], _ = decompose_window(windows[i], self.moving_avg)
-        seasonals = windows - trends
+        trends, seasonals = decompose_window(np.transpose(x, (0, 2, 1)), self.moving_avg)
         t_flat = Tensor(trends.reshape(batch, -1))
         s_flat = Tensor(seasonals.reshape(batch, -1))
         logits = matmul(t_flat, self.params["trend.weight"]) + matmul(s_flat, self.params["seasonal.weight"])

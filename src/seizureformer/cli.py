@@ -24,6 +24,8 @@ from .data import (
     DEFAULT_LABEL_WINDOW,
     DEFAULT_MIN_HISTORY,
     DataError,
+    PatientSeries,
+    WindowSet,
     label_days,
     make_windows,
     parse_csv,
@@ -108,8 +110,9 @@ def _sha256(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _build_samples(data_path: str, run_cfg: RunConfig, horizon: int):
-    series, _report = parse_csv(data_path)
+def _build_samples(source: str | Path | PatientSeries, run_cfg: RunConfig, horizon: int) -> WindowSet:
+    """The windows of one patient, read from a CSV path or given as a series."""
+    series = source if isinstance(source, PatientSeries) else parse_csv(source)[0]
     normalized = zscore_normalize(series)
     labels = label_days(series, run_cfg.label_window, run_cfg.label_fraction, run_cfg.min_history)
     return make_windows(normalized, labels, run_cfg.model.lookback, horizon)
@@ -225,13 +228,12 @@ def cmd_eval(args) -> int:
 def _benchmark_cell(kind: str, samples, run_cfg: RunConfig, cell_seed: int):
     """(roc, pr) for one model on one patient/horizon; degenerate data raises ``DataError``."""
     train_s, val_s, test_s = split_chronological(samples)
-    test_y = [s.y for s in test_s]
     if kind == "logistic":
-        fit = baselines.logistic_fit(baselines.window_features(train_s), [s.y for s in train_s])
-        rep = metrics.report(baselines.logistic_predict(fit, baselines.window_features(test_s)), test_y)
+        fit = baselines.logistic_fit(baselines.window_features(train_s), train_s.y)
+        rep = metrics.report(baselines.logistic_predict(fit, baselines.window_features(test_s)), test_s.y)
     elif kind == "poisson":
         fit = baselines.poisson_fit(baselines.window_features(train_s), baselines.horizon_counts(train_s))
-        rep = metrics.report(baselines.poisson_predict(fit, baselines.window_features(test_s)), test_y)
+        rep = metrics.report(baselines.poisson_predict(fit, baselines.window_features(test_s)), test_s.y)
     else:
         if kind == "dlinear":
             rng = np.random.default_rng(cell_seed)
@@ -265,10 +267,8 @@ def cmd_benchmark(args) -> int:
     cohort = {}
     for seed in seeds:
         series = synth.generate_patient(synth.SynthConfig(seed=seed, days=args.days))
-        normalized = zscore_normalize(series)
-        labels = label_days(series, run_cfg.label_window, run_cfg.label_fraction, run_cfg.min_history)
         for horizon in horizons:
-            cohort[(seed, horizon)] = make_windows(normalized, labels, run_cfg.model.lookback, horizon)
+            cohort[(seed, horizon)] = _build_samples(series, run_cfg, horizon)
 
     rows = ["model,patient,horizon,roc_auc,pr_auc"]
     means = []

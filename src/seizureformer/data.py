@@ -13,10 +13,11 @@ from __future__ import annotations
 import csv
 import datetime
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 DEFAULT_LABEL_WINDOW = 60
 DEFAULT_LABEL_FRACTION = 0.7
@@ -26,6 +27,7 @@ DEFAULT_HORIZONS = (1, 3, 7, 14)
 CSV_HEADER = ["date", "ab_ch1", "ab_ch2", "le_count"]
 
 UNLABELED = -1  # warm-up days carry no label
+EPOCH_ORDINAL = datetime.date(1970, 1, 1).toordinal()  # day 0 of datetime64[D]
 
 
 class DataError(ValueError):
@@ -64,11 +66,8 @@ class PatientSeries:
 
     def gaps(self) -> list[tuple[datetime.date, datetime.date]]:
         """Adjacent record pairs separated by more than one calendar day."""
-        out = []
-        for prev, cur in zip(self.records, self.records[1:]):
-            if (cur.date - prev.date).days > 1:
-                out.append((prev.date, cur.date))
-        return out
+        pairs = zip(self.records, self.records[1:])
+        return [(prev.date, cur.date) for prev, cur in pairs if (cur.date - prev.date).days > 1]
 
 
 @dataclass
@@ -104,6 +103,31 @@ class WindowSample:
     horizon: int
     anchor_date: datetime.date
     horizon_le_sum: int = 0
+
+
+@dataclass(frozen=True, eq=False)
+class WindowSet:
+    """Window samples as row-aligned arrays in anchor-date order.  Slices and boolean
+    masks give a ``WindowSet``; an int index or iteration gives a ``WindowSample``
+    whose ``x`` is a (lookback, channels) view of this set's ``x``."""
+
+    x: np.ndarray  # (N, channels, lookback) float64, the layout model.forward takes
+    y: np.ndarray  # (N,) int64
+    anchor: np.ndarray  # (N,) datetime64[D]
+    horizon_le_sum: np.ndarray  # (N,) int64 summed LE counts over each horizon
+    horizon: int
+
+    def __len__(self) -> int:
+        return len(self.y)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return WindowSample(self.x[key].T, int(self.y[key]), self.horizon, self.anchor[key].item(),
+                                int(self.horizon_le_sum[key]))
+        return WindowSet(self.x[key], self.y[key], self.anchor[key], self.horizon_le_sum[key], self.horizon)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 def parse_csv(path: str | Path, patient_id: str | None = None) -> tuple[PatientSeries, ParseReport]:
@@ -209,80 +233,53 @@ def label_days(
     start = np.maximum(days - window, 0)
     history_mean = (prefix[days] - prefix[start]) / (days - start)
     labels[days] = le[days] > fraction * history_mean
-    return RiskLabels(
-        series.patient_id,
-        series.dates,
-        labels,
-        le.astype(np.int64),
-        window=window,
-        fraction=fraction,
-        min_history=min_history,
-    )
+    return RiskLabels(series.patient_id, series.dates, labels, le.astype(np.int64),
+                      window=window, fraction=fraction, min_history=min_history)
 
 
-def make_windows(
-    normalized: NormalizedSeries,
-    labels: RiskLabels,
-    lookback: int,
-    horizon: int,
-    aggregation: str = "any",
-) -> list[WindowSample]:
+def make_windows(normalized: NormalizedSeries, labels: RiskLabels, lookback: int, horizon: int) -> WindowSet:
     """Pair each anchor day's lookback matrix with its horizon label.
 
-    ``aggregation="any"`` (default) marks the sample positive when any horizon
-    day is labeled high risk.  ``"cumulative"`` instead compares the summed
-    horizon LE count against ``horizon`` times the anchor-time daily threshold.
-    Windows touching calendar gaps or unlabeled horizon days are dropped.
+    A sample is positive when any horizon day is labeled high risk.  Windows
+    touching calendar gaps or unlabeled horizon days are dropped.
     """
     if lookback < 1:
         raise ValueError(f"lookback must be >= 1, got {lookback}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if aggregation not in ("any", "cumulative"):
-        raise ValueError(f"unknown aggregation {aggregation!r}")
     if normalized.dates != labels.dates:
         raise DataError("normalized series and labels cover different days")
     total = len(normalized.dates)
     if total < lookback + horizon:
         raise DataError(f"series of {total} days is shorter than lookback+horizon={lookback + horizon}")
 
-    dates = normalized.dates
-    le = labels.le_counts
-    samples: list[WindowSample] = []
-    for i in range(lookback - 1, total - horizon):
-        start = i - lookback + 1
-        end = i + horizon
-        # contiguity over the whole span rules out calendar gaps
-        if (dates[end] - dates[start]).days != lookback + horizon - 1:
-            continue
-        horizon_labels = labels.labels[i + 1 : i + horizon + 1]
-        if np.any(horizon_labels == UNLABELED):
-            continue
-        horizon_sum = int(le[i + 1 : i + horizon + 1].sum())
-        if aggregation == "any":
-            y = int(np.any(horizon_labels == 1))
-        else:
-            history = le[max(0, i + 1 - labels.window) : i + 1].astype(np.float64)
-            if len(history) < labels.min_history:
-                continue
-            y = int(horizon_sum > labels.fraction * history.mean() * horizon)
-        samples.append(
-            WindowSample(
-                x=normalized.z[start : i + 1].copy(),
-                y=y,
-                horizon=horizon,
-                anchor_date=dates[i],
-                horizon_le_sum=horizon_sum,
-            )
-        )
-    return samples
+    ordinals = np.fromiter((d.toordinal() for d in normalized.dates), np.int64, total)
+    span = lookback + horizon - 1
+    # anchor i spans days i-lookback+1 .. i+horizon; contiguity over the span rules out calendar gaps
+    anchors = np.arange(lookback - 1, total - horizon)
+
+    def horizon_total(per_day: np.ndarray) -> np.ndarray:
+        """Sum over each anchor's horizon days i+1 .. i+horizon, from exact integer prefix sums."""
+        prefix = np.concatenate(([0], np.cumsum(per_day, dtype=np.int64)))
+        return prefix[anchors + horizon + 1] - prefix[anchors + 1]
+
+    keep = (ordinals[span:] - ordinals[: total - span] == span) & (horizon_total(labels.labels == UNLABELED) == 0)
+    positive, le_sum = horizon_total(labels.labels == 1), horizon_total(labels.le_counts)
+    anchors = anchors[keep]
+    # a gather per channel copies contiguous windows: 3-5x faster than one from the (T, channels) view
+    x = np.empty((len(anchors), normalized.z.shape[1], lookback))
+    for c, day_values in enumerate(normalized.z.T.copy()):
+        x[:, c] = sliding_window_view(day_values, lookback)[anchors - lookback + 1]
+    return WindowSet(
+        x=x,
+        y=(positive[keep] > 0).astype(np.int64),
+        anchor=(ordinals[anchors] - EPOCH_ORDINAL).astype("datetime64[D]"),
+        horizon_le_sum=le_sum[keep],
+        horizon=horizon,
+    )
 
 
-def split_chronological(
-    samples: list[WindowSample],
-    train_frac: float = 0.7,
-    val_frac: float = 0.1,
-) -> tuple[list[WindowSample], list[WindowSample], list[WindowSample]]:
+def split_chronological(samples: WindowSet, train_frac: float = 0.7, val_frac: float = 0.1) -> tuple[WindowSet, ...]:
     """Cut date-ordered samples into contiguous train/val/test blocks.
 
     Samples whose horizon reaches the first anchor of the next block are
@@ -290,19 +287,15 @@ def split_chronological(
     """
     if len(samples) < 10:
         raise DataError(f"need at least 10 samples to split, got {len(samples)}")
-    for a, b in zip(samples, samples[1:]):
-        if b.anchor_date < a.anchor_date:
-            raise DataError("samples must be ordered by anchor date")
+    if np.any(np.diff(samples.anchor) < np.timedelta64(0, "D")):
+        raise DataError("samples must be ordered by anchor date")
     n = len(samples)
     k1 = int(n * train_frac + 1e-9)
     k2 = k1 + int(n * val_frac + 1e-9)
     train, val, test = samples[:k1], samples[k1:k2], samples[k2:]
 
-    def trim(block: list[WindowSample], nxt: list[WindowSample]) -> list[WindowSample]:
-        if not block or not nxt:
-            return block
-        boundary = nxt[0].anchor_date
-        return [s for s in block if s.anchor_date + datetime.timedelta(days=s.horizon) < boundary]
+    def trim(block: WindowSet, nxt: WindowSet) -> WindowSet:
+        return block[block.anchor + np.timedelta64(block.horizon, "D") < nxt.anchor[0]] if nxt else block
 
     return trim(train, val), trim(val, test), test
 
@@ -317,10 +310,13 @@ def compute_pos_weight(labels) -> float:
     return n_neg / n_pos
 
 
-def samples_to_arrays(samples: list[WindowSample]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack samples into a model-ready (N, channels, lookback) batch plus labels."""
+def samples_to_arrays(samples: WindowSet | list[WindowSample]) -> tuple[np.ndarray, np.ndarray]:
+    """A model-ready (N, channels, lookback) batch plus labels: a set's own
+    arrays, or a sample list stacked."""
     if not samples:
         raise DataError("no samples to stack")
+    if isinstance(samples, WindowSet):
+        return samples.x, samples.y
     x = np.stack([s.x.T for s in samples]).astype(np.float64)
     y = np.array([s.y for s in samples], dtype=np.int64)
     return x, y

@@ -479,7 +479,10 @@ def encoder_layer(
     q, k, v = (n1 @ wqkv).reshape(n, p, 3, h, dk).transpose(2, 0, 3, 1, 4)
     attn = np.matmul(q, k.swapaxes(-1, -2))  # (N, h, p, p); the softmax runs in place
     attn *= scale
-    attn -= attn.max(axis=-1, keepdims=True)
+    amax = attn[..., :1].copy()  # row max as p-1 elementwise maxima; numpy's short-axis max is slow
+    for j in range(1, p):
+        np.maximum(amax, attn[..., j : j + 1], out=amax)
+    attn -= amax
     np.exp(attn, out=attn)
     attn /= attn.sum(axis=-1, keepdims=True)
     ctx = np.matmul(attn, v).transpose(0, 2, 1, 3).reshape(-1, d)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
-from .data import DataError, WindowSample, compute_pos_weight, samples_to_arrays
+from .data import DataError, WindowSample, WindowSet, compute_pos_weight, samples_to_arrays
 from .kv import write_manifest  # noqa: F401  (perfbench traces the manifest writer as train.write_manifest)
 from .model import weighted_bce
 from .tensor import Tensor, no_grad, zero_grad
@@ -104,7 +104,7 @@ def optimizer_step(
         p.data = p.data - lr * step - lr * weight_decay * p.data
 
 
-def evaluate(model, samples: list[WindowSample], batch_size: int = 512) -> metrics.MetricsReport:
+def evaluate(model, samples: WindowSet | list[WindowSample], batch_size: int = 512) -> metrics.MetricsReport:
     """Eval-mode scores over all samples plus both AUCs; needs both classes.
 
     The forward passes run under ``no_grad``, so no graph is kept.
@@ -124,8 +124,8 @@ def evaluate(model, samples: list[WindowSample], batch_size: int = 512) -> metri
 
 def train_loop(
     model,
-    train_samples: list[WindowSample],
-    val_samples: list[WindowSample],
+    train_samples: WindowSet | list[WindowSample],
+    val_samples: WindowSet | list[WindowSample],
     cfg: TrainConfig,
 ) -> tuple[dict[str, Tensor], TrainHistory]:
     """Fit the model, keep the best-validation-AUC parameters, and stop after

@@ -8,16 +8,20 @@ oracles for their replacements: the per-tap ``conv1d``, the composed
 op), the broadcast ``matmul`` (no weight fold, no fused bias) with the
 encoder built from it and ``transpose_last2``, the ``softmax`` op and the
 graph-level encoder built from it (replaced by the fused ``encoder_layer``),
-the per-day ``label_days`` loop and the tie-grouping loops of ``roc_auc`` /
+the per-day ``label_days`` loop, the per-anchor ``make_windows`` loop and
+the list-based ``split_chronological`` (replaced by array ops on a
+``WindowSet``), and the tie-grouping loops of ``roc_auc`` /
 ``pr_auc``.  The baseline objective gradients live here too,
 since only tests evaluate them.
 """
 
+import datetime
 import math
 
 import numpy as np
 
 from seizureformer import tensor as T
+from seizureformer.data import DataError, WindowSample
 
 
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -218,6 +222,56 @@ def loop_label_days(le: np.ndarray, window: int, fraction: float, min_history: i
         threshold = fraction * history.mean()
         labels[i] = 1 if le[i] > threshold else 0
     return labels
+
+
+def loop_make_windows(normalized, labels, lookback: int, horizon: int) -> list:
+    """Per-anchor window loop: one ``WindowSample`` and one copied matrix per kept window."""
+    total = len(normalized.dates)
+    if total < lookback + horizon:
+        raise DataError(f"series of {total} days is shorter than lookback+horizon={lookback + horizon}")
+    dates = normalized.dates
+    le = labels.le_counts
+    samples = []
+    for i in range(lookback - 1, total - horizon):
+        start = i - lookback + 1
+        end = i + horizon
+        # contiguity over the whole span rules out calendar gaps
+        if (dates[end] - dates[start]).days != lookback + horizon - 1:
+            continue
+        horizon_labels = labels.labels[i + 1 : i + horizon + 1]
+        if np.any(horizon_labels == -1):
+            continue
+        samples.append(
+            WindowSample(
+                x=normalized.z[start : i + 1].copy(),
+                y=int(np.any(horizon_labels == 1)),
+                horizon=horizon,
+                anchor_date=dates[i],
+                horizon_le_sum=int(le[i + 1 : i + horizon + 1].sum()),
+            )
+        )
+    return samples
+
+
+def list_split_chronological(samples: list, train_frac: float = 0.7, val_frac: float = 0.1) -> tuple:
+    """70/10/20 blocks of a sample list, dropping samples whose horizon reaches the next block."""
+    if len(samples) < 10:
+        raise DataError(f"need at least 10 samples to split, got {len(samples)}")
+    for a, b in zip(samples, samples[1:]):
+        if b.anchor_date < a.anchor_date:
+            raise DataError("samples must be ordered by anchor date")
+    n = len(samples)
+    k1 = int(n * train_frac + 1e-9)
+    k2 = k1 + int(n * val_frac + 1e-9)
+    train, val, test = samples[:k1], samples[k1:k2], samples[k2:]
+
+    def trim(block, nxt):
+        if not block or not nxt:
+            return block
+        boundary = nxt[0].anchor_date
+        return [s for s in block if s.anchor_date + datetime.timedelta(days=s.horizon) < boundary]
+
+    return trim(train, val), trim(val, test), test
 
 
 def loop_roc_auc(s: np.ndarray, y: np.ndarray) -> float:

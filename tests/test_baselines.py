@@ -14,7 +14,8 @@ from seizureformer.baselines import (
     poisson_predict,
     window_features,
 )
-from seizureformer.data import DataError, WindowSample
+from seizureformer.data import DataError, WindowSample, label_days, make_windows, zscore_normalize
+from seizureformer.synth import SynthConfig, generate_patient
 from seizureformer.train import TrainConfig, train_loop
 
 from oracles import logistic_gradient, poisson_gradient
@@ -48,6 +49,16 @@ class TestFeatures:
     def test_horizon_counts(self):
         samples = make_samples(4)
         assert_allclose(horizon_counts(samples), [s.horizon_le_sum for s in samples])
+
+    def test_window_set_matches_sample_list_bytes(self):
+        series = generate_patient(SynthConfig(seed=6, days=200))
+        windows = make_windows(zscore_normalize(series), label_days(series), 10, 3)
+        samples = list(windows)
+        per_row = np.stack([s.x.reshape(-1) for s in samples])  # (lookback, channels) rows flattened
+        feats = window_features(windows)
+        assert feats.tobytes() == window_features(samples).tobytes()
+        assert feats.tobytes() == np.hstack([per_row, np.ones((len(samples), 1))]).tobytes()
+        assert horizon_counts(windows).tobytes() == horizon_counts(samples).tobytes()
 
 
 class TestLogistic:

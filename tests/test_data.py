@@ -13,6 +13,7 @@ from seizureformer.data import (
     DailyRecord,
     DataError,
     PatientSeries,
+    WindowSample,
     compute_pos_weight,
     label_days,
     make_windows,
@@ -21,7 +22,7 @@ from seizureformer.data import (
     zscore_normalize,
 )
 
-from oracles import loop_label_days
+from oracles import list_split_chronological, loop_label_days, loop_make_windows
 
 DAY0 = datetime.date(2020, 1, 1)
 
@@ -186,14 +187,20 @@ class TestLabeling:
         assert labels.tobytes() == expected.tobytes()
 
 
-def build_samples(n_days=100, lookback=30, horizon=7, le=None, skip_days=(), aggregation="any"):
+def build_inputs(n_days=100, le=None, skip_days=()):
     rng = np.random.default_rng(3)
     ab = rng.integers(1, 40, size=n_days).tolist()
     le = le if le is not None else rng.integers(0, 5, size=n_days).tolist()
     series = make_series(ab, le=le, skip_days=skip_days)
-    norm = zscore_normalize(series)
-    labels = label_days(series)
-    return make_windows(norm, labels, lookback, horizon, aggregation=aggregation)
+    return zscore_normalize(series), label_days(series)
+
+
+def build_samples(n_days=100, lookback=30, horizon=7, le=None, skip_days=()):
+    return make_windows(*build_inputs(n_days, le, skip_days), lookback, horizon)
+
+
+def rows(samples):
+    return [(s.x.shape, s.x.tobytes(), s.y, s.horizon, s.anchor_date, s.horizon_le_sum) for s in samples]
 
 
 class TestWindows:
@@ -225,10 +232,51 @@ class TestWindows:
         assert s.x.shape == (10, 2)
         assert not np.any(np.isnan(s.x))
 
-    def test_cumulative_mode(self):
-        samples = build_samples(100, 30, 7, aggregation="cumulative")
-        assert {s.y for s in samples} <= {0, 1}
-        assert all(s.horizon_le_sum >= 0 for s in samples)
+    def test_rows_match_loop_oracle(self):
+        normalized, labels = build_inputs(120, skip_days=(70,))
+        windows = make_windows(normalized, labels, 12, 3)
+        samples = list(windows)
+        assert all(isinstance(s, WindowSample) and s.x.shape == (12, 2) for s in samples)
+        assert rows(samples) == rows(loop_make_windows(normalized, labels, 12, 3))
+        assert rows(windows[5:9]) == rows(samples[5:9])
+        assert rows(windows[windows.y == 1]) == [r for r in rows(samples) if r[2] == 1]
+
+    @given(
+        n_days=st.integers(20, 400),
+        skip_days=st.sets(st.integers(1, 398), max_size=8),
+        window=st.integers(1, 80),
+        min_history=st.integers(1, 40),
+        lookback=st.integers(1, 40),
+        horizon=st.integers(1, 14),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_window_set_matches_loop_oracle(self, n_days, skip_days, window, min_history, lookback, horizon, seed):
+        rng = np.random.default_rng(seed)
+        ab1, ab2 = (rng.integers(0, 40, size=n_days).tolist() for _ in range(2))
+        series = make_series(ab1, ab2, rng.integers(0, 6, size=n_days).tolist(), skip_days=skip_days)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a constant channel only warns
+            normalized = zscore_normalize(series)
+        labels = label_days(series, window, 0.7, min_history)
+        try:
+            expected = loop_make_windows(normalized, labels, lookback, horizon)
+        except DataError:
+            with pytest.raises(DataError, match="shorter"):
+                make_windows(normalized, labels, lookback, horizon)
+            return
+        windows = make_windows(normalized, labels, lookback, horizon)
+        assert windows.x.shape == (len(expected), 2, lookback) and windows.x.flags.c_contiguous
+        assert windows.x.tobytes() == np.array([s.x.T for s in expected]).tobytes()
+        assert windows.y.tolist() == [s.y for s in expected]
+        assert windows.anchor.tolist() == [s.anchor_date for s in expected]
+        assert windows.horizon_le_sum.tolist() == [s.horizon_le_sum for s in expected]
+        if len(expected) < 10:
+            with pytest.raises(DataError, match="at least 10"):
+                split_chronological(windows)
+            return
+        for got, want in zip(split_chronological(windows), list_split_chronological(expected), strict=True):
+            assert rows(got) == rows(want)
 
 
 class TestSplit:

@@ -274,16 +274,19 @@ class TestMhsaEncoder:
     def test_default_width_forward_bytes_match_graph_oracle(self):
         """At the default and reference widths, eval and seeded training-mode forwards
         are the same bytes as the graph-level encoder (tiny widths such as dk=1 take
-        other BLAS paths, so the sweep above uses a tolerance)."""
-        for cfg in (ModelConfig(), ModelConfig.reference_preset()):
+        other BLAS paths, so the sweep above uses a tolerance), and so is a default-width
+        eval batch of 512 windows, the batch ``train.evaluate`` runs."""
+        cases = [(cfg, 16, training) for cfg in (ModelConfig(), ModelConfig.reference_preset())
+                 for training in (False, True)]
+        for cfg, batch, training in cases + [(ModelConfig(), 512, False)]:
             params = init_params(cfg, np.random.default_rng(15))
-            x = Tensor(np.random.default_rng(16).standard_normal((16 * cfg.channels, cfg.patch_count, cfg.embed_dim)))
-            for training in (False, True):
-                sink_t, sink_o = [], []
-                out = mhsa_encoder(x, cfg, params, training, np.random.default_rng(17), sink_t)
-                ref = graph_mhsa_encoder(x, cfg, params, training, np.random.default_rng(17), sink_o)
-                assert out.data.tobytes() == ref.data.tobytes()
-                assert [a.data.tobytes() for a in sink_t] == [a.data.tobytes() for a in sink_o]
+            shape = (batch * cfg.channels, cfg.patch_count, cfg.embed_dim)
+            x = Tensor(np.random.default_rng(16).standard_normal(shape))
+            sink_t, sink_o = [], []
+            out = mhsa_encoder(x, cfg, params, training, np.random.default_rng(17), sink_t)
+            ref = graph_mhsa_encoder(x, cfg, params, training, np.random.default_rng(17), sink_o)
+            assert out.data.tobytes() == ref.data.tobytes()
+            assert [a.data.tobytes() for a in sink_t] == [a.data.tobytes() for a in sink_o]
 
 
 class TestSeRecalibrate:
