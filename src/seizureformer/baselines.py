@@ -34,12 +34,6 @@ def window_features(samples: WindowSet | list[WindowSample]) -> np.ndarray:
     return np.hstack([x.transpose(0, 2, 1).reshape(len(x), -1), np.ones((len(x), 1))])
 
 
-def horizon_counts(samples: WindowSet | list[WindowSample]) -> np.ndarray:
-    if isinstance(samples, WindowSet):
-        return samples.horizon_le_sum.astype(np.float64)
-    return np.array([s.horizon_le_sum for s in samples], dtype=np.float64)
-
-
 def _penalized(w: np.ndarray) -> np.ndarray:
     """Weight vector with the intercept (last coordinate) left unpenalized."""
     out = w.copy()

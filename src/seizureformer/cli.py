@@ -232,7 +232,7 @@ def _benchmark_cell(kind: str, samples, run_cfg: RunConfig, cell_seed: int):
         fit = baselines.logistic_fit(baselines.window_features(train_s), train_s.y)
         rep = metrics.report(baselines.logistic_predict(fit, baselines.window_features(test_s)), test_s.y)
     elif kind == "poisson":
-        fit = baselines.poisson_fit(baselines.window_features(train_s), baselines.horizon_counts(train_s))
+        fit = baselines.poisson_fit(baselines.window_features(train_s), train_s.horizon_le_sum)
         rep = metrics.report(baselines.poisson_predict(fit, baselines.window_features(test_s)), test_s.y)
     else:
         if kind == "dlinear":
@@ -255,20 +255,15 @@ def cmd_benchmark(args) -> int:
     run_cfg = load_run_config(args.config, args.set)
     seeds = [int(s) for s in args.cohort_seeds.split(",") if s.strip()]
     horizons = [int(h) for h in args.horizons.split(",") if h.strip()]
-    if not seeds:
-        raise ValueError("need at least one cohort seed")
-    if len(set(seeds)) != len(seeds):
-        raise ValueError("cohort seeds must be unique")
+    if not horizons or len(set(horizons)) != len(horizons):
+        raise ValueError(f"benchmark horizons must be one or more distinct values, got {args.horizons!r}")
     for h in horizons:
         if h not in run_cfg.horizons:
             raise ValueError(f"horizon {h} not in configured horizons {run_cfg.horizons}")
 
     # samples per (seed, horizon), shared across every model for like-for-like cells
-    cohort = {}
-    for seed in seeds:
-        series = synth.generate_patient(synth.SynthConfig(seed=seed, days=args.days))
-        for horizon in horizons:
-            cohort[(seed, horizon)] = _build_samples(series, run_cfg, horizon)
+    patients = synth.generate_cohort(seeds, synth.SynthConfig(days=args.days))
+    cohort = {(seed, h): _build_samples(series, run_cfg, h) for seed, series in zip(seeds, patients) for h in horizons}
 
     rows = ["model,patient,horizon,roc_auc,pr_auc"]
     means = []
@@ -364,7 +359,8 @@ def cmd_export_plot(args) -> int:
     lines = ["date,z_ch1,z_ch2,risk"]
     for i, day in enumerate(normalized.dates):
         risk = "" if labels.labels[i] == -1 else str(int(labels.labels[i]))
-        lines.append(f"{day.isoformat()},{normalized.z[i, 0]!r},{normalized.z[i, 1]!r},{risk}")
+        z = ",".join(kv.format_value(v) for v in normalized.z[i])
+        lines.append(f"{day.isoformat()},{z},{risk}")
     kv.write_atomic(args.out_csv, "\n".join(lines) + "\n")
     kv.write_atomic(args.out_svg, _render_svg(normalized.dates, normalized.z, labels.labels))
     print(f"wrote {len(normalized.dates)} rows to {args.out_csv} and figure to {args.out_svg}")

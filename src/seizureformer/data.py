@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -91,9 +92,6 @@ class RiskLabels:
     dates: list[datetime.date]
     labels: np.ndarray     # int8; UNLABELED for warm-up days
     le_counts: np.ndarray  # raw per-day LE counts, kept for count-target baselines
-    window: int = DEFAULT_LABEL_WINDOW
-    fraction: float = DEFAULT_LABEL_FRACTION
-    min_history: int = DEFAULT_MIN_HISTORY
 
 
 @dataclass
@@ -151,14 +149,10 @@ def parse_csv(path: str | Path, patient_id: str | None = None) -> tuple[PatientS
                 continue
             if len(row) != 4:
                 raise DataError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            try:
-                day = datetime.date.fromisoformat(row[0].strip())
-                counts = [int(v) for v in row[1:]]
+            try:  # DailyRecord's own DataError (a negative count) is a ValueError too
+                records.append(DailyRecord(datetime.date.fromisoformat(row[0].strip()), *(int(v) for v in row[1:])))
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
-            if any(c < 0 for c in counts):
-                raise DataError(f"{path}:{lineno}: negative count")
-            records.append(DailyRecord(day, *counts))
 
     seen: set[datetime.date] = set()
     for rec in records:
@@ -220,8 +214,8 @@ def label_days(
         raise DataError("cannot label an empty series")
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    if fraction <= 0:
-        raise ValueError(f"fraction must be positive, got {fraction}")
+    if not (math.isfinite(fraction) and fraction > 0):
+        raise ValueError(f"fraction must be finite and positive, got {fraction}")
     if min_history < 1:
         raise ValueError(f"min_history must be >= 1, got {min_history}")
     le = np.array([r.le_count for r in series.records], dtype=np.float64)
@@ -233,8 +227,7 @@ def label_days(
     start = np.maximum(days - window, 0)
     history_mean = (prefix[days] - prefix[start]) / (days - start)
     labels[days] = le[days] > fraction * history_mean
-    return RiskLabels(series.patient_id, series.dates, labels, le.astype(np.int64),
-                      window=window, fraction=fraction, min_history=min_history)
+    return RiskLabels(series.patient_id, series.dates, labels, le.astype(np.int64))
 
 
 def make_windows(normalized: NormalizedSeries, labels: RiskLabels, lookback: int, horizon: int) -> WindowSet:

@@ -4,9 +4,10 @@ Every operation returns a new :class:`Tensor` carrying a vector-Jacobian
 closure; calling ``backward()`` on a scalar result walks the recorded graph
 in reverse topological order and accumulates ``.grad`` on every tensor that
 requires gradients.  The op set is deliberately small: exactly what a
-patch-attention classifier needs (matmul, axis permute, 1D/2D
-cross-correlation, sigmoid/relu, reductions, concat, gather, dropout, layer
-norm, a whole pre-norm encoder layer) plus a finite-difference checker.
+patch-attention classifier needs (add/sub/mul/neg, matmul by a 2-D weight,
+reshape, concat, a last-axis gather, sum/mean, sigmoid/relu/log/power/clip,
+dropout, 1D/2D cross-correlation, layer norm, a whole pre-norm encoder layer)
+plus a finite-difference checker.
 
 Inside a ``with no_grad():`` block operations record nothing: results carry
 no parents and no closure, so each intermediate is freed as soon as the next
@@ -44,10 +45,6 @@ def no_grad() -> Iterator[None]:
         _recording.reset(token)
 
 
-def _as_float64(data) -> Array:
-    return np.asarray(data, dtype=np.float64)
-
-
 class Tensor:
     """A float64 array plus an optional gradient of identical shape.
 
@@ -60,7 +57,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_prev", "_vjp", "_backward_done", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = _as_float64(data)
+        arr = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise ValueError("tensor values must be finite")
         self.data = arr
@@ -112,14 +109,6 @@ class Tensor:
 
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _lift(other))
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return mul(self, _lift(1.0 / other))
-        return mul(self, power(other, -1.0))
 
     def backward(self) -> None:
         """Populate ``.grad`` on every reachable tensor requiring gradients.
@@ -266,21 +255,18 @@ def neg(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Matrix product; batch dimensions broadcast numpy-style.  A 2-D ``b`` (a
-    weight) folds every leading axis of ``a`` into the rows of one GEMM, so
-    dA = dC @ W^T and dW = A^T @ dC need no batched temporary, and ``bias``
-    (n,) is added in place; a batched ``b`` reduces its gradients over
-    broadcast batch axes."""
-    if a.ndim < 2 or b.ndim < 2:
-        raise ValueError("matmul operands must have at least 2 dimensions")
-    if a.data.shape[-1] != b.data.shape[-2]:
+    """Product of ``a`` (..., k) and a 2-D weight ``b`` (k, n), plus ``bias`` (n,)
+    in place when given.  Every leading axis of ``a`` folds into the rows of one
+    GEMM, so dA = dC @ W^T and dW = A^T @ dC need no batched temporary."""
+    if a.ndim < 2 or b.ndim != 2:
+        raise ValueError(f"matmul takes an input of 2 or more dimensions and a 2-D weight, got {a.shape} @ {b.shape}")
+    if a.data.shape[-1] != b.data.shape[0]:
         raise ValueError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    fold = b.ndim == 2
-    a_op = a.data.reshape(-1, b.data.shape[0]) if fold else a.data
-    data = np.matmul(a_op, b.data)
+    a2 = a.data.reshape(-1, b.data.shape[0])
+    data = a2 @ b.data
     if bias is not None:
-        if not fold or bias.data.shape != b.data.shape[1:]:
-            raise ValueError(f"matmul bias needs a 2-D weight and shape ({b.data.shape[-1]},)")
+        if bias.data.shape != b.data.shape[1:]:
+            raise ValueError(f"matmul bias must have shape ({b.data.shape[1]},)")
         data += bias.data
 
     def vjp(g: Array) -> None:
@@ -288,26 +274,11 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         if bias is not None and bias.requires_grad:
             _accum(bias, g.sum(axis=0))
         if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            _accum(a, _sum_to_shape(ga, a_op.shape).reshape(a.data.shape))
+            _accum(a, (g @ b.data.T).reshape(a.data.shape))
         if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a_op, -1, -2), g)
-            _accum(b, _sum_to_shape(gb, b.data.shape))
+            _accum(b, a2.T @ g)
 
-    out = data.reshape(a.data.shape[:-1] + b.data.shape[1:]) if fold else data
-    return _result(out, (a, b) if bias is None else (a, b, bias), vjp)
-
-
-def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
-    """Reorder the axes of ``a`` (numpy's ``transpose``); the result is a view."""
-    axes = tuple(axes)
-    if sorted(axes) != list(range(a.ndim)):
-        raise ValueError(f"permute needs an ordering of all {a.ndim} axes, got {axes}")
-
-    def vjp(g: Array) -> None:
-        _accum(a, np.transpose(g, np.argsort(axes)))
-
-    return _result(np.transpose(a.data, axes), (a,), vjp)
+    return _result(data.reshape(a.data.shape[:-1] + b.data.shape[1:]), (a, b) if bias is None else (a, b, bias), vjp)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -540,16 +511,6 @@ def log(a: Tensor) -> Tensor:
 
     def vjp(g: Array) -> None:
         _accum(a, g / a.data)
-
-    return _result(data, (a,), vjp)
-
-
-def exp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        data = np.exp(a.data)
-
-    def vjp(g: Array) -> None:
-        _accum(a, g * data)
 
     return _result(data, (a,), vjp)
 

@@ -35,7 +35,6 @@ class TrainConfig:
     max_epochs: int = 30
     patience: int = 5
     seed: int = 0
-    optimizer: str = "adam"
 
     def validate(self) -> None:
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -44,8 +43,6 @@ class TrainConfig:
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.batch_size < 1 or self.patience < 1 or self.max_epochs < 1:
             raise ValueError("batch_size, patience, max_epochs must be >= 1")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
 @dataclass
@@ -59,12 +56,9 @@ class TrainHistory:
 
 
 class OptimizerState:
-    """Per-parameter moment buffers for Adam; empty for plain SGD."""
+    """Per-parameter moment buffers for Adam."""
 
-    def __init__(self, kind: str = "adam"):
-        if kind not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {kind!r}")
-        self.kind = kind
+    def __init__(self):
         self.step_count = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -76,15 +70,11 @@ def optimizer_step(
     lr: float,
     weight_decay: float = 0.0,
 ) -> None:
-    """One update over all parameters; weight decay is decoupled from the
+    """One Adam update over all parameters; weight decay is decoupled from the
     adaptive step (theta -= lr * mhat/(sqrt(vhat)+eps) + lr * wd * theta)."""
     missing = [name for name, p in params.items() if p.grad is None]
     if missing:
         raise ValueError(f"missing gradients for: {', '.join(missing[:5])}")
-    if state.kind == "sgd":
-        for p in params.values():
-            p.data = p.data - lr * p.grad - lr * weight_decay * p.data
-        return
     state.step_count += 1
     t = state.step_count
     bias1 = 1.0 - ADAM_BETA1**t
@@ -153,7 +143,7 @@ def train_loop(
         history.notes.append(f"training unweighted: {exc}")
 
     rng = np.random.default_rng(cfg.seed)
-    state = OptimizerState(cfg.optimizer)
+    state = OptimizerState()
     params = model.params
     best_auc = -math.inf
     best: dict[str, np.ndarray] = {}

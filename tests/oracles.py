@@ -132,17 +132,6 @@ def broadcast_matmul(a: T.Tensor, b: T.Tensor) -> T.Tensor:
     return T._result(np.matmul(a.data, b.data), (a, b), vjp)
 
 
-def loop_permute(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """out[i_0, ..., i_n] = x[j] where j[axes[m]] = i_m, one element at a time."""
-    out = np.empty(tuple(x.shape[ax] for ax in axes))
-    for idx in np.ndindex(out.shape):
-        src = [0] * x.ndim
-        for m, ax in enumerate(axes):
-            src[ax] = idx[m]
-        out[idx] = x[tuple(src)]
-    return out
-
-
 def transpose_last2(a: T.Tensor) -> T.Tensor:
     def vjp(g):
         if a.requires_grad:
@@ -188,7 +177,8 @@ def per_head_mhsa_encoder(x: T.Tensor, cfg, params: dict) -> T.Tensor:
 
 def graph_mhsa_encoder(x: T.Tensor, cfg, params: dict, training=False, rng=None, attn_sink=None) -> T.Tensor:
     """The encoder as a graph of the package's ops, one node per matmul, softmax,
-    dropout and residual add, exactly as ``model.mhsa_encoder`` was built."""
+    dropout and residual add, exactly as ``model.mhsa_encoder`` was built; the
+    batched products are ``broadcast_matmul`` over ``transpose_last2``."""
     scale = 1.0 / math.sqrt(cfg.head_dim)
     for layer in range(cfg.encoder_layers):
         base = f"encoder{layer}"
@@ -198,10 +188,10 @@ def graph_mhsa_encoder(x: T.Tensor, cfg, params: dict, training=False, rng=None,
             q = T.matmul(normed, params[f"{base}.attn.head{j}.wq"])
             k = T.matmul(normed, params[f"{base}.attn.head{j}.wk"])
             v = T.matmul(normed, params[f"{base}.attn.head{j}.wv"])
-            attn = softmax(T.matmul(q, T.permute(k, (0, 2, 1))) * scale)
+            attn = softmax(broadcast_matmul(q, transpose_last2(k)) * scale)
             if attn_sink is not None:
                 attn_sink.append(attn)
-            head_outs.append(T.matmul(attn, v))
+            head_outs.append(broadcast_matmul(attn, v))
         attended = T.matmul(T.concat(head_outs, axis=-1), params[f"{base}.attn.wo"])
         x = x + T.dropout(attended, cfg.dropout_rate, training, rng)
         normed = T.layer_norm(x, params[f"{base}.ln2.gamma"], params[f"{base}.ln2.beta"], 1e-5)

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from seizureformer.baselines import (
     DLinearModel,
     decompose_window,
-    horizon_counts,
     logistic_fit,
     logistic_predict,
     poisson_fit,
@@ -46,10 +45,6 @@ class TestFeatures:
         assert feats.shape == (5, 4 * 2 + 1)
         assert_allclose(feats[:, -1], 1.0)
 
-    def test_horizon_counts(self):
-        samples = make_samples(4)
-        assert_allclose(horizon_counts(samples), [s.horizon_le_sum for s in samples])
-
     def test_window_set_matches_sample_list_bytes(self):
         series = generate_patient(SynthConfig(seed=6, days=200))
         windows = make_windows(zscore_normalize(series), label_days(series), 10, 3)
@@ -58,7 +53,6 @@ class TestFeatures:
         feats = window_features(windows)
         assert feats.tobytes() == window_features(samples).tobytes()
         assert feats.tobytes() == np.hstack([per_row, np.ones((len(samples), 1))]).tobytes()
-        assert horizon_counts(windows).tobytes() == horizon_counts(samples).tobytes()
 
 
 class TestLogistic:

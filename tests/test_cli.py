@@ -6,6 +6,7 @@ import pytest
 
 from seizureformer import cli, gradcheck, kv
 from seizureformer.cli import load_run_config, main
+from seizureformer.data import parse_csv, zscore_normalize
 from seizureformer.tensor import Tensor
 
 
@@ -72,6 +73,12 @@ class TestRunConfig:
         f.write_text("not_a_key=1\n")
         with pytest.raises(ValueError, match="unknown config key"):
             load_run_config(str(f))
+
+    def test_optimizer_is_not_a_key(self, synth_csv, tmp_path, capsys):
+        code = main(["train", "--data", str(synth_csv), "--horizon", "1", "--out-dir", str(tmp_path),
+                     "--set", "optimizer=adam"])
+        assert code == 1
+        assert "unknown config key 'optimizer'" in capsys.readouterr().err
 
     def test_malformed_override(self):
         with pytest.raises(ValueError, match="key=value"):
@@ -246,6 +253,15 @@ class TestExportPlotCommand:
         assert len(lines) == 401
         assert svg_out.read_text().startswith("<svg")
 
+    def test_z_values_are_plain_floats(self, synth_csv, tmp_path):
+        """Each z field is the normalized value's float text, bit for bit (not ``np.float64(...)``)."""
+        csv_out = tmp_path / "plot.csv"
+        assert main(["export-plot", "--data", str(synth_csv), "--out-csv", str(csv_out),
+                     "--out-svg", str(tmp_path / "plot.svg")]) == 0
+        z = zscore_normalize(parse_csv(synth_csv)[0]).z
+        fields = [line.split(",")[1:3] for line in csv_out.read_text().splitlines()[1:]]
+        assert np.array([[float(v) for v in row] for row in fields]).tobytes() == z.tobytes()
+
     def test_no_high_risk_days_no_markers(self, tmp_path):
         flat = tmp_path / "flat.csv"
         rows = ["date,ab_ch1,ab_ch2,le_count"]
@@ -317,6 +333,14 @@ class TestBenchmarkCommand:
 
     def test_duplicate_seeds_rejected(self, tmp_path):
         assert main(["benchmark", "--cohort-seeds", "1,1", "--horizons", "1", "--out", str(tmp_path / "t.csv")]) == 1
+
+    @pytest.mark.parametrize("horizons", [",", "1,1"])
+    def test_empty_or_repeated_horizons_rejected(self, tmp_path, capsys, horizons):
+        out = tmp_path / "t.csv"
+        assert main(["benchmark", "--cohort-seeds", "1", "--horizons", horizons, "--days", "240", "--out", str(out)]
+                    + FAST_TRAIN) == 1
+        assert f"benchmark horizons must be one or more distinct values, got {horizons!r}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestUsage:

@@ -70,7 +70,7 @@ class TestParseCsv:
     def test_negative_count(self, tmp_path):
         f = tmp_path / "p.csv"
         f.write_text("date,ab_ch1,ab_ch2,le_count\n2020-01-01,-1,2,0\n")
-        with pytest.raises(DataError, match="negative"):
+        with pytest.raises(DataError, match=r"p\.csv:2: ab_ch1 must be non-negative"):
             parse_csv(f)
 
     def test_bad_header(self, tmp_path):
@@ -172,6 +172,12 @@ class TestLabeling:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="min_history"):
                 label_days(series, min_history=0)
+
+    @pytest.mark.parametrize("fraction", [float("nan"), float("inf"), float("-inf"), 0.0])
+    def test_fraction_must_be_finite_and_positive(self, fraction):
+        series = make_series([0] * 10, le=[1] * 10)
+        with pytest.raises(ValueError, match="fraction must be finite and positive"):
+            label_days(series, fraction=fraction)
 
     @given(
         le=st.lists(st.one_of(st.integers(0, 12), st.integers(0, 10**6)), min_size=1, max_size=200),

@@ -42,7 +42,7 @@ class TestFieldTypes:
     def test_every_run_config_key_has_a_text_form(self):
         keys = _flat_keys(RunConfig())
         assert {kind for _, kind in keys.values()} <= set(VALUES)
-        assert {"label_fraction", "horizons", "optimizer", "use_cvt"} <= set(keys)
+        assert {"label_fraction", "horizons", "weight_decay", "use_cvt"} <= set(keys)
 
 
 class TestRoundTrip:

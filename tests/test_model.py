@@ -210,7 +210,7 @@ class TestMhsaEncoder:
     )
     @settings(max_examples=30, deadline=None)
     def test_matches_broadcast_matmul_oracle(self, heads, dk, layers, n, p, seed):
-        """Folded weight GEMMs, fused biases, permute and the fused layer norm against the
+        """Folded weight GEMMs, fused biases and the fused layer norm against the
         encoder built from the replaced ops: values, input and every parameter grad."""
         cfg = ModelConfig(**{**TINY, "embed_dim": heads * dk, "heads": heads, "encoder_layers": layers, "ffn_dim": 5})
         rng = np.random.default_rng(seed)
@@ -525,7 +525,7 @@ class TestCheckpoint:
             assert t.data.dtype == np.float64 and t.data.dtype.isnative and t.data.flags.writeable
             t.data += 0.0  # an in-place update must not raise
             t.grad = np.ones_like(t.data)
-        train.optimizer_step(loaded.params, train.OptimizerState("adam"), lr=1e-2)
+        train.optimizer_step(loaded.params, train.OptimizerState(), lr=1e-2)
         assert all(not np.array_equal(before[name], t.data) for name, t in loaded.params.items())
 
     def test_loaded_model_same_predictions(self, tmp_path):

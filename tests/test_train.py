@@ -54,13 +54,13 @@ class TestOptimizerStep:
     def test_zero_grads_no_decay_leaves_params(self):
         params = {"w": Tensor(np.array([1.0, -2.0]), requires_grad=True)}
         params["w"].grad = np.zeros(2)
-        optimizer_step(params, OptimizerState("adam"), lr=0.1, weight_decay=0.0)
+        optimizer_step(params, OptimizerState(), lr=0.1, weight_decay=0.0)
         assert_allclose(params["w"].data, [1.0, -2.0])
 
     def test_descends_quadratic(self):
         theta = Tensor(np.array([1.0]), requires_grad=True)
         params = {"theta": theta}
-        state = OptimizerState("adam")
+        state = OptimizerState()
         for _ in range(20):
             theta.grad = 2.0 * theta.data  # d/dtheta theta^2
             optimizer_step(params, state, lr=0.05)
@@ -70,19 +70,13 @@ class TestOptimizerStep:
         theta = Tensor(np.array([3.0, -4.0]), requires_grad=True)
         params = {"theta": theta}
         theta.grad = np.zeros(2)
-        optimizer_step(params, OptimizerState("adam"), lr=0.1, weight_decay=0.01)
+        optimizer_step(params, OptimizerState(), lr=0.1, weight_decay=0.01)
         assert np.all(np.abs(params["theta"].data) < np.array([3.0, 4.0]))
 
     def test_missing_grads_error(self):
         params = {"w": Tensor(np.ones(2), requires_grad=True)}
         with pytest.raises(ValueError, match="missing gradients"):
-            optimizer_step(params, OptimizerState("adam"), lr=0.1)
-
-    def test_sgd_update(self):
-        theta = Tensor(np.array([1.0]), requires_grad=True)
-        theta.grad = np.array([0.5])
-        optimizer_step({"t": theta}, OptimizerState("sgd"), lr=0.1, weight_decay=0.0)
-        assert_allclose(theta.data, [1.0 - 0.05])
+            optimizer_step(params, OptimizerState(), lr=0.1)
 
 
 class _ScriptedModel:
