@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,6 +44,9 @@ ABLATIONS = {
     "se": {"use_se": False},
     "all": {"use_cnn_embed": False, "use_cvt": False, "use_se": False},
 }
+
+# as this process started; checkpoint bytes depend on the BLAS thread count
+_BLAS_THREADS = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS") or "unset"
 
 BENCHMARK_MODELS = (
     "seizureformer",
@@ -124,7 +128,8 @@ def _pipeline(run_cfg: RunConfig, horizon: int) -> dict[str, object]:
 
 
 def _config_manifest(run_cfg: RunConfig) -> dict[str, object]:
-    return {f"config.{key}": getattr(owner, key) for key, (owner, _) in _flat_keys(run_cfg).items()}
+    """What every manifest starts with: the BLAS thread count and the flat config."""
+    return {"blas_threads": _BLAS_THREADS} | {f"config.{k}": getattr(o, k) for k, (o, _) in _flat_keys(run_cfg).items()}
 
 
 # -- commands -----------------------------------------------------------------
@@ -166,24 +171,21 @@ def cmd_train(args) -> int:
         history_lines.append(f"{i},{kv.format_value(loss)},{kv.format_value(auc)}")
     kv.write_atomic(out_dir / "history.csv", "\n".join(history_lines) + "\n")
 
-    manifest = _config_manifest(run_cfg)
-    manifest.update(
-        {
-            "command": "train",
-            "variant": run_cfg.model.variant,
-            "horizon": args.horizon,
-            "data_sha256": _sha256(args.data),
-            "split.train": len(train_s),
-            "split.val": len(val_s),
-            "split.test": len(test_s),
-            "train.pos_weight": history.pos_weight,
-            "train.best_epoch": history.best_epoch,
-            "train.stop_reason": history.stop_reason,
-            "train.val_best_roc_auc": history.val_roc_auc[history.best_epoch],
-            "metrics.test_roc_auc": test_report.roc_auc,
-            "metrics.test_pr_auc": test_report.pr_auc,
-        }
-    )
+    manifest = _config_manifest(run_cfg) | {
+        "command": "train",
+        "variant": run_cfg.model.variant,
+        "horizon": args.horizon,
+        "data_sha256": _sha256(args.data),
+        "split.train": len(train_s),
+        "split.val": len(val_s),
+        "split.test": len(test_s),
+        "train.pos_weight": history.pos_weight,
+        "train.best_epoch": history.best_epoch,
+        "train.stop_reason": history.stop_reason,
+        "train.val_best_roc_auc": history.val_roc_auc[history.best_epoch],
+        "metrics.test_roc_auc": test_report.roc_auc,
+        "metrics.test_pr_auc": test_report.pr_auc,
+    }
     write_manifest(out_dir / "manifest.txt", manifest)
     print(f"variant: {run_cfg.model.variant}")
     print(f"best val ROC AUC {history.val_roc_auc[history.best_epoch]:.4f} at epoch {history.best_epoch}")
@@ -209,18 +211,15 @@ def cmd_eval(args) -> int:
     rep = evaluate(model, block)
     print(f"{args.split} ROC AUC {rep.roc_auc:.4f}  PR AUC {rep.pr_auc:.4f}  (n={len(block)})")
     if args.manifest:
-        manifest = _config_manifest(run_cfg)
-        manifest.update(
-            {
-                "command": "eval",
-                "split": args.split,
-                "horizon": args.horizon,
-                "data_sha256": _sha256(args.data),
-                "checkpoint": str(args.checkpoint),
-                "metrics.roc_auc": rep.roc_auc,
-                "metrics.pr_auc": rep.pr_auc,
-            }
-        )
+        manifest = _config_manifest(run_cfg) | {
+            "command": "eval",
+            "split": args.split,
+            "horizon": args.horizon,
+            "data_sha256": _sha256(args.data),
+            "checkpoint": str(args.checkpoint),
+            "metrics.roc_auc": rep.roc_auc,
+            "metrics.pr_auc": rep.pr_auc,
+        }
         write_manifest(args.manifest, manifest)
     return 0
 
@@ -293,16 +292,13 @@ def cmd_benchmark(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     kv.write_atomic(out, "\n".join(rows) + "\n")
     kv.write_atomic(str(out) + ".na", "".join(f"{reason}\n" for reason in na_reasons))
-    manifest = _config_manifest(run_cfg)
-    manifest.update(
-        {
-            "command": "benchmark",
-            "cohort_seeds": tuple(seeds),
-            "benchmark_horizons": tuple(horizons),
-            "days": args.days,
-            "models": BENCHMARK_MODELS,
-        }
-    )
+    manifest = _config_manifest(run_cfg) | {
+        "command": "benchmark",
+        "cohort_seeds": tuple(seeds),
+        "benchmark_horizons": tuple(horizons),
+        "days": args.days,
+        "models": BENCHMARK_MODELS,
+    }
     write_manifest(str(out) + ".manifest", manifest)
     print(f"wrote {len(rows) - 1} result rows to {out}")
     return 0

@@ -46,9 +46,16 @@ def _op_checks(rng: np.random.Generator) -> list[tuple[str, object, Tensor]]:
     gather_idx = np.array([[0, 1, 2], [3, 4, 5], [2, 3, 4]])
     mix = Tensor(rng.standard_normal((5, 3)))
     # built from the draws above so the model checks see the same rng state
-    ln_gamma, ln_beta = Tensor(mix.data[0] + 1.0), bias
     ln_eps = 1e-5
     w_fold = Tensor(b34.data.T)
+    # an embedding of grid's 4-wide rows: a (2, 3) kernel through a (4, 3) band, then the (4, 3) linear block
+    emb = dict(input=grid, kernel=pieces, linear=w_fold, bias=Tensor(vec.data[:5]), proj=a53,
+               pos=Tensor(grid.data[0, :, :3]))
+
+    def embed(name: str, t: Tensor) -> Tensor:
+        e = {**emb, name: t}
+        banks = [(e["kernel"], a53.data[:4]), (e["linear"], None)]
+        return T.tsum(T.power(T.folded_embed(e["input"], banks, [e["bias"]], e["proj"], e["pos"]), 2.0))
     # an encoder layer over grid (d=4): two heads of width 2, an FFN of width 6
     enc_wt = [Tensor(m) for src in (a53.data, b34.data.T, mix.data) for m in (src[:4, :2], src[-4:, -2:])]
     enc_args = ((Tensor(1.0 + vec.data[:4]), Tensor(vec.data[4:8])), [tuple(enc_wt[0::2]), tuple(enc_wt[1::2])],
@@ -65,16 +72,12 @@ def _op_checks(rng: np.random.Generator) -> list[tuple[str, object, Tensor]]:
         ("matmul_bias_input", lambda t: T.tsum(T.power(T.matmul(t, w_fold, bias), 2.0)), grid),
         ("matmul_bias_bias", lambda t: T.tsum(T.power(T.matmul(grid, w_fold, t), 2.0)), bias),
         ("reshape", lambda t: T.tsum(T.power(T.reshape(t, (3, 3)), 2.0)), vec),
-        ("concat", lambda t: T.tsum(T.concat([t, T.mul(t, t)], axis=1)), pieces),
         ("take_last", lambda t: T.tsum(T.power(T.take_last(t, gather_idx), 2.0)), rows),
         # grad_check keeps the leaf's memory layout, so this input stays transposed
         ("take_last_noncontiguous", lambda t: T.tsum(T.power(T.take_last(t, gather_idx), 2.0)),
          Tensor(grid.data.transpose(0, 2, 1))),
         ("sum_axis", lambda t: T.tsum(T.power(T.tsum(t, axes=0), 2.0)), a53),
         ("mean_axes", lambda t: T.tsum(T.power(T.mean(t, axes=(0, 1), keepdims=True), 2.0)), a53),
-        ("layer_norm_input", lambda t: T.tsum(T.mul(T.layer_norm(t, ln_gamma, ln_beta, ln_eps), mix)), a53),
-        ("layer_norm_gamma", lambda t: T.tsum(T.mul(T.layer_norm(a53, t, ln_beta, ln_eps), mix)), ln_gamma),
-        ("layer_norm_beta", lambda t: T.tsum(T.mul(T.layer_norm(a53, ln_gamma, t, ln_eps), mix)), ln_beta),
         ("encoder_layer_input", lambda t: T.tsum(T.power(T.encoder_layer(t, *enc_args, ln_eps, 0.5), 2.0)), grid),
         ("sigmoid", lambda t: T.tsum(T.sigmoid(t)), vec),
         ("relu", lambda t: T.tsum(T.relu(t)), vec),
@@ -87,7 +90,7 @@ def _op_checks(rng: np.random.Generator) -> list[tuple[str, object, Tensor]]:
         ("conv1d_weight", lambda t: T.tsum(T.conv1d(rows, t, bias, padding="same")), w1d),
         ("conv2d_input", lambda t: T.tsum(T.conv2d(t, k2d)), grid),
         ("conv2d_kernel", lambda t: T.tsum(T.conv2d(grid, t)), k2d),
-    ]
+    ] + [(f"folded_embed_{name}", lambda t, name=name: embed(name, t), value) for name, value in emb.items()]
 
 
 def small_model_config() -> ModelConfig:

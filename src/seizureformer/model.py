@@ -3,8 +3,8 @@
 Per channel: slice the lookback series into strided patches, embed each patch
 with a bank of parallel 1D convolutions (multiple kernel widths, mean-pooled
 per patch, concatenated), project to the working width and add a learnable
-positional table.  The stacked (channel, patch) grid then passes through a
-shared 2D cross-variable/temporal convolution, a pre-norm multi-head
+positional table, all as one folded linear map.  The stacked (channel, patch)
+grid then passes through a shared 2D cross-variable/temporal convolution, a pre-norm multi-head
 self-attention encoder applied independently per channel, a
 squeeze-and-excitation gate over channels, and finally a flatten + linear +
 sigmoid head.  Each of the three enrichment blocks can be ablated: the CNN
@@ -25,11 +25,10 @@ from . import kv
 from .tensor import (
     Tensor,
     clip,
-    concat,
-    conv1d,
     conv2d,
     dropout,
     encoder_layer,
+    folded_embed,
     log,
     matmul,
     mean,
@@ -206,21 +205,28 @@ def patchify(x: Tensor, patch_length: int, stride: int) -> Tensor:
     return take_last(x, idx)
 
 
-def embed_patches(patches: Tensor, kernels: list[tuple[Tensor, Tensor]]) -> Tensor:
-    """Multi-kernel conv features per patch: (..., p, P) -> (..., p, d').
+def _mean_band(length: int, k: int) -> np.ndarray:
+    """(length, k) map from a k-tap kernel to its same-padded response mean-pooled
+    over ``length`` positions: input t meets tap j at output t - j + (k - 1) // 2."""
+    out_pos = np.arange(length)[:, None] - np.arange(k)[None, :] + (k - 1) // 2
+    return ((out_pos >= 0) & (out_pos < length)) / length
 
-    Each kernel runs same-padded over the patch positions and is mean-pooled
-    back to one feature vector per patch; the banks concatenate on the last
-    axis.
+
+def embed_patches(patches: Tensor, cfg: ModelConfig, params: dict[str, Tensor]) -> Tensor:
+    """Patch embedding, projection and positional table: (..., p, P) -> (..., p, D).
+
+    Each kernel runs same-padded over the patch positions and is mean-pooled back
+    to one feature vector per patch; the banks concatenate, project to D and add
+    ``proj.pos`` (w/o CNN, ``embed.linear.weight`` maps each patch instead).  No
+    nonlinearity sits in between, so this runs as one (P, D) map plus a constant.
     """
-    widths = {w.shape[0] for w, _ in kernels}
-    if len(widths) != 1:
-        raise ValueError("all kernels must emit the same feature count")
-    feats = []
-    for weight, bias in kernels:
-        conv = conv1d(patches, weight, bias, padding="same")  # (..., p, P, F)
-        feats.append(mean(conv, axes=-2))
-    return concat(feats, axis=-1)
+    if cfg.use_cnn_embed:
+        banks = [(params[f"embed.conv{i}.weight"], _mean_band(cfg.patch_length, k))
+                 for i, k in enumerate(cfg.kernel_sizes)]
+        biases = [params[f"embed.conv{i}.bias"] for i in range(len(cfg.kernel_sizes))]
+    else:
+        banks, biases = [(params["embed.linear.weight"], None)], []
+    return folded_embed(patches, banks, biases, params["proj.weight"], params["proj.pos"])
 
 
 def mhsa_encoder(
@@ -288,16 +294,7 @@ def forward(
     batch = x.shape[0]
 
     patches = patchify(Tensor(x), cfg.patch_length, cfg.stride)  # (B, d, p, P)
-    if cfg.use_cnn_embed:
-        kernels = [
-            (params[f"embed.conv{i}.weight"], params[f"embed.conv{i}.bias"])
-            for i in range(len(cfg.kernel_sizes))
-        ]
-        embedded = embed_patches(patches, kernels)
-    else:
-        embedded = matmul(patches, params["embed.linear.weight"])
-
-    grid = matmul(embedded, params["proj.weight"]) + params["proj.pos"]  # (B, d, p, D)
+    grid = embed_patches(patches, cfg, params)  # (B, d, p, D)
     if cfg.use_cvt:
         grid = conv2d(grid, params["cvt.kernel"])  # shared over the (channel, patch) grid
 

@@ -5,9 +5,9 @@ closure; calling ``backward()`` on a scalar result walks the recorded graph
 in reverse topological order and accumulates ``.grad`` on every tensor that
 requires gradients.  The op set is deliberately small: exactly what a
 patch-attention classifier needs (add/sub/mul/neg, matmul by a 2-D weight,
-reshape, concat, a last-axis gather, sum/mean, sigmoid/relu/log/power/clip,
-dropout, 1D/2D cross-correlation, layer norm, a whole pre-norm encoder layer)
-plus a finite-difference checker.
+reshape, a last-axis gather, sum/mean, sigmoid/relu/log/power/clip, dropout,
+1D/2D cross-correlation, a folded linear patch embedding, a whole pre-norm
+encoder layer) plus a finite-difference checker.
 
 Inside a ``with no_grad():`` block operations record nothing: results carry
 no parents and no closure, so each intermediate is freed as soon as the next
@@ -28,6 +28,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 Array = np.ndarray
+
+_CONV2D_CHUNK = 32  # batch slices per step of conv2d's kernel-grad sum
 
 _AxesArg = int | Sequence[int] | None
 
@@ -92,9 +94,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, _lift(other))
 
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
     def __sub__(self, other):
         return sub(self, _lift(other))
 
@@ -103,9 +102,6 @@ class Tensor:
 
     def __mul__(self, other):
         return mul(self, _lift(other))
-
-    def __rmul__(self, other):
-        return mul(_lift(other), self)
 
     def __neg__(self):
         return neg(self)
@@ -291,25 +287,6 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return _result(data, (a,), vjp)
 
 
-def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    if not tensors:
-        raise ValueError("concat needs at least one tensor")
-    ndim = tensors[0].ndim
-    if axis < 0:
-        axis += ndim
-    if not 0 <= axis < ndim:
-        raise ValueError(f"invalid concat axis {axis}")
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    offsets = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
-
-    def vjp(g: Array) -> None:
-        pieces = np.split(g, offsets, axis=axis)
-        for t, piece in zip(tensors, pieces):
-            _accum(t, piece)
-
-    return _result(data, tuple(tensors), vjp)
-
-
 def take_last(a: Tensor, idx: Array) -> Tensor:
     """Fancy-index the last axis; output shape is ``a.shape[:-1] + idx.shape``."""
     idx = np.asarray(idx, dtype=np.int64)
@@ -411,21 +388,6 @@ def _layer_norm_vjp(g: Array, xhat: Array, inv: Array, gamma: Tensor, beta: Tens
     np.subtract(dxhat, gx, out=dxhat)
     dxhat *= inv
     return dxhat
-
-
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
-    """Normalize the last axis to zero mean and unit variance, then scale by
-    ``gamma`` and shift by ``beta`` (both shaped like that axis); one op with a
-    closed-form backward in place of the composed mean/variance graph."""
-    d = x.data.shape[-1]
-    if gamma.data.shape != (d,) or beta.data.shape != (d,):
-        raise ValueError(f"layer_norm gamma and beta must have shape ({d},)")
-    data, xhat, inv = _layer_norm_fwd(x.data, gamma.data, beta.data, eps)
-
-    def vjp(g: Array) -> None:
-        _accum(x, _layer_norm_vjp(g, xhat, inv, gamma, beta).reshape(x.data.shape))
-
-    return _result(data, (x, gamma, beta), vjp)
 
 
 def encoder_layer(
@@ -623,7 +585,9 @@ def conv2d(a: Tensor, kernel: Tensor) -> Tensor:
     """Cross-correlate a (..., H, W, D) grid with one shared (kh, kw) kernel.
 
     The feature axis D passes through untouched; zero "same" padding keeps the
-    spatial extents, which is why both kernel extents must be odd.
+    spatial extents, which is why both kernel extents must be odd.  The kernel
+    becomes one (H*W, H*W) band matrix M applied to every (H*W, D) slice by one
+    matmul; the VJP is M^T g, and sum_b g_b x_b^T binned back to the taps.
     """
     if a.ndim < 3:
         raise ValueError("conv2d input must be (..., H, W, D)")
@@ -633,30 +597,59 @@ def conv2d(a: Tensor, kernel: Tensor) -> Tensor:
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError(f"conv2d kernel extents must be odd, got {kh}x{kw}")
     h, w = a.data.shape[-3], a.data.shape[-2]
-    ph, pw = kh // 2, kw // 2
-
-    pad_spec = [(0, 0)] * (a.ndim - 3) + [(ph, ph), (pw, pw), (0, 0)]
-    xp = np.pad(a.data, pad_spec)
-    out = np.zeros_like(a.data)
-    for i in range(kh):
-        for j in range(kw):
-            out += kernel.data[i, j] * xp[..., i : i + h, j : j + w, :]
+    row, col = np.divmod(np.arange(h * w), w)  # grid coordinates of each cell
+    ti, tj = row - row[:, None] + kh // 2, col - col[:, None] + kw // 2  # [output cell, source cell] -> tap
+    taps = np.where((ti >= 0) & (ti < kh) & (tj >= 0) & (tj < kw), ti * kw + tj, kh * kw)
+    band = np.append(kernel.data.ravel(), 0.0)[taps]  # index kh*kw is off the band
+    x3 = a.data.reshape(-1, h * w, a.data.shape[-1])
+    out = np.matmul(band, x3).reshape(a.data.shape)
 
     def vjp(g: Array) -> None:
+        g3 = g.reshape(x3.shape)
         if kernel.requires_grad:
-            gk = np.zeros_like(kernel.data)
-            for i in range(kh):
-                for j in range(kw):
-                    gk[i, j] = np.sum(g * xp[..., i : i + h, j : j + w, :])
-            _accum(kernel, gk)
+            gband = np.zeros(band.shape)
+            for s in range(0, len(x3), _CONV2D_CHUNK):  # fixed-size chunks: no temporary grows with the batch
+                gband += np.matmul(g3[s : s + _CONV2D_CHUNK], x3[s : s + _CONV2D_CHUNK].swapaxes(1, 2)).sum(axis=0)
+            _accum(kernel, np.bincount(taps.ravel(), gband.ravel(), kh * kw + 1)[:-1].reshape(kh, kw))
         if a.requires_grad:
-            gxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[..., i : i + h, j : j + w, :] += kernel.data[i, j] * g
-            _accum(a, gxp[..., ph : ph + h, pw : pw + w, :])
+            _accum(a, np.matmul(band.T, g3).reshape(a.data.shape))
 
     return _result(out, (a, kernel), vjp)
+
+
+# -- linear patch embedding ---------------------------------------------------
+
+
+def folded_embed(x: Tensor, banks: Sequence[tuple[Tensor, Array | None]], biases: Sequence[Tensor], proj: Tensor,
+                 pos: Tensor) -> Tensor:
+    """A linear embedding of (..., P) rows, its projection and a positional table as
+    one node and one GEMM: x @ (E @ proj) + (b @ proj + pos), shape (..., D).  Each
+    bank (weight, band) adds the column block ``band @ weight.T`` (``weight`` itself
+    when ``band`` is None) to the (P, d') map E; b concatenates ``biases``, or is zero
+    when there are none.  So every parameter grad comes from (P, D) and (d', D) products."""
+    blocks = [w.data if band is None else band @ w.data.T for w, band in banks]
+    e = np.concatenate(blocks, axis=1)
+    b = np.concatenate([bias.data for bias in biases]) if biases else np.zeros(e.shape[1])
+    m = e @ proj.data
+    x2 = x.data.reshape(-1, m.shape[0])
+    out = (x2 @ m).reshape(x.data.shape[:-1] + m.shape[1:])
+    out += b @ proj.data + pos.data
+
+    def vjp(g: Array) -> None:
+        g2 = g.reshape(x2.shape[0], -1)
+        _accum(pos, gpos := _sum_to_shape(g, pos.data.shape))
+        gc = gpos.reshape(-1, g2.shape[1]).sum(axis=0)  # grad of b @ proj, which every row adds
+        gm = x2.T @ g2
+        _accum(proj, e.T @ gm + np.outer(b, gc))
+        offsets = np.cumsum([blk.shape[1] for blk in blocks])[:-1]
+        for (w, band), ge in zip(banks, np.split(gm @ proj.data.T, offsets, axis=1)):
+            _accum(w, ge if band is None else ge.T @ band)
+        for bias, gb in zip(biases, np.split(proj.data @ gc, np.cumsum([len(t.data) for t in biases])[:-1])):
+            _accum(bias, gb)
+        if x.requires_grad:
+            _accum(x, (g2 @ m.T).reshape(x.data.shape))
+
+    return _result(out, (x, proj, pos, *(w for w, _ in banks), *biases), vjp)
 
 
 # -- gradient checking ------------------------------------------------------

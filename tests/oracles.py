@@ -3,15 +3,18 @@
 Everything here is written the slow, obvious way (explicit loops, manual
 padding, pairwise comparisons) so it shares no code path with the package.
 The exceptions are earlier versions of rewritten kernels, kept verbatim as
-oracles for their replacements: the per-tap ``conv1d``, the composed
-``layer_norm`` (built from the package's primitive ops rather than the fused
-op), the broadcast ``matmul`` (no weight fold, no fused bias) with the
-encoder built from it and ``transpose_last2``, the ``softmax`` op and the
-graph-level encoder built from it (replaced by the fused ``encoder_layer``),
-the per-day ``label_days`` loop, the per-anchor ``make_windows`` loop and
-the list-based ``split_chronological`` (replaced by array ops on a
-``WindowSet``), and the tie-grouping loops of ``roc_auc`` /
-``pr_auc``.  The baseline objective gradients live here too,
+oracles for their replacements: the per-tap ``conv1d`` and ``conv2d``, the
+embed front end composed per kernel from ``conv1d``, ``mean``, ``concat``
+and the projection (replaced by the folded ``folded_embed``), the
+``concat`` and ``layer_norm`` ops the package no longer calls (the latter
+over the fused helpers the encoder uses) and a composed ``layer_norm`` built
+from the package's primitive ops, the broadcast ``matmul`` (no weight fold,
+no fused bias) with the encoder built from it and ``transpose_last2``, the
+``softmax`` op and the graph-level encoder built from it (replaced by the
+fused ``encoder_layer``), the per-day ``label_days`` loop, the per-anchor
+``make_windows`` loop and the list-based ``split_chronological`` (replaced
+by array ops on a ``WindowSet``), and the tie-grouping loops of
+``roc_auc`` / ``pr_auc``.  The baseline objective gradients live here too,
 since only tests evaluate them.
 """
 
@@ -94,6 +97,72 @@ def per_tap_conv1d_vjp(x: np.ndarray, w: np.ndarray, padding: str, g: np.ndarray
     return gxp[..., left : left + length], gw, g2.sum(axis=0)
 
 
+def per_tap_conv2d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Same-padded conv2d over (..., H, W, D) as one broadcast multiply-add per kernel tap."""
+    kh, kw = kernel.shape
+    h, w = x.shape[-3], x.shape[-2]
+    xp = np.pad(x, [(0, 0)] * (x.ndim - 3) + [(kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0)])
+    out = np.zeros_like(x)
+    for i in range(kh):
+        for j in range(kw):
+            out += kernel[i, j] * xp[..., i : i + h, j : j + w, :]
+    return out
+
+
+def per_tap_conv2d_vjp(x: np.ndarray, kernel: np.ndarray, g: np.ndarray):
+    """(d_input, d_kernel) of per_tap_conv2d for upstream gradient g."""
+    kh, kw = kernel.shape
+    h, w = x.shape[-3], x.shape[-2]
+    ph, pw = kh // 2, kw // 2
+    xp = np.pad(x, [(0, 0)] * (x.ndim - 3) + [(ph, ph), (pw, pw), (0, 0)])
+    gk = np.zeros_like(kernel)
+    gxp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            gk[i, j] = np.sum(g * xp[..., i : i + h, j : j + w, :])
+            gxp[..., i : i + h, j : j + w, :] += kernel[i, j] * g
+    return gxp[..., ph : ph + h, pw : pw + w, :], gk
+
+
+def concat(tensors, axis: int) -> T.Tensor:
+    """The concat op, as the package had it."""
+    data = np.concatenate([t.data for t in tensors], axis=axis)
+    offsets = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+
+    def vjp(g):
+        for t, piece in zip(tensors, np.split(g, offsets, axis=axis)):
+            T._accum(t, piece)
+
+    return T._result(data, tuple(tensors), vjp)
+
+
+def composed_embed(patches: T.Tensor, cfg, params: dict) -> T.Tensor:
+    """The embed front end as ``model.forward`` composed it before the fold: per
+    kernel a same-padded ``conv1d`` mean-pooled over the patch positions, the
+    banks concatenated (or the w/o-CNN linear map), then the projection and the
+    positional table."""
+    if cfg.use_cnn_embed:
+        feats = [
+            T.mean(T.conv1d(patches, params[f"embed.conv{i}.weight"], params[f"embed.conv{i}.bias"]), axes=-2)
+            for i in range(len(cfg.kernel_sizes))
+        ]
+        embedded = concat(feats, axis=-1)
+    else:
+        embedded = T.matmul(patches, params["embed.linear.weight"])
+    return T.matmul(embedded, params["proj.weight"]) + params["proj.pos"]
+
+
+def layer_norm(x: T.Tensor, gamma: T.Tensor, beta: T.Tensor, eps: float) -> T.Tensor:
+    """The layer_norm op, as the package had it: one node over the fused helpers
+    that ``encoder_layer`` runs."""
+    data, xhat, inv = T._layer_norm_fwd(x.data, gamma.data, beta.data, eps)
+
+    def vjp(g):
+        T._accum(x, T._layer_norm_vjp(g, xhat, inv, gamma, beta).reshape(x.data.shape))
+
+    return T._result(data, (x, gamma, beta), vjp)
+
+
 def composed_layer_norm(x: T.Tensor, gamma: T.Tensor, beta: T.Tensor, eps: float) -> T.Tensor:
     """Layer norm over the last axis as a graph of primitive ops."""
     mu = T.mean(x, axes=-1, keepdims=True)
@@ -168,7 +237,7 @@ def per_head_mhsa_encoder(x: T.Tensor, cfg, params: dict) -> T.Tensor:
             v = broadcast_matmul(normed, params[f"{base}.attn.head{j}.wv"])
             attn = softmax(broadcast_matmul(q, transpose_last2(k)) * scale)
             head_outs.append(broadcast_matmul(attn, v))
-        x = x + broadcast_matmul(T.concat(head_outs, axis=-1), params[f"{base}.attn.wo"])
+        x = x + broadcast_matmul(concat(head_outs, axis=-1), params[f"{base}.attn.wo"])
         normed = composed_layer_norm(x, params[f"{base}.ln2.gamma"], params[f"{base}.ln2.beta"], 1e-5)
         hidden = T.relu(broadcast_matmul(normed, params[f"{base}.ffn.w1"]) + params[f"{base}.ffn.b1"])
         x = x + (broadcast_matmul(hidden, params[f"{base}.ffn.w2"]) + params[f"{base}.ffn.b2"])
@@ -182,7 +251,7 @@ def graph_mhsa_encoder(x: T.Tensor, cfg, params: dict, training=False, rng=None,
     scale = 1.0 / math.sqrt(cfg.head_dim)
     for layer in range(cfg.encoder_layers):
         base = f"encoder{layer}"
-        normed = T.layer_norm(x, params[f"{base}.ln1.gamma"], params[f"{base}.ln1.beta"], 1e-5)
+        normed = layer_norm(x, params[f"{base}.ln1.gamma"], params[f"{base}.ln1.beta"], 1e-5)
         head_outs = []
         for j in range(cfg.heads):
             q = T.matmul(normed, params[f"{base}.attn.head{j}.wq"])
@@ -192,9 +261,9 @@ def graph_mhsa_encoder(x: T.Tensor, cfg, params: dict, training=False, rng=None,
             if attn_sink is not None:
                 attn_sink.append(attn)
             head_outs.append(broadcast_matmul(attn, v))
-        attended = T.matmul(T.concat(head_outs, axis=-1), params[f"{base}.attn.wo"])
+        attended = T.matmul(concat(head_outs, axis=-1), params[f"{base}.attn.wo"])
         x = x + T.dropout(attended, cfg.dropout_rate, training, rng)
-        normed = T.layer_norm(x, params[f"{base}.ln2.gamma"], params[f"{base}.ln2.beta"], 1e-5)
+        normed = layer_norm(x, params[f"{base}.ln2.gamma"], params[f"{base}.ln2.beta"], 1e-5)
         hidden = T.relu(T.matmul(normed, params[f"{base}.ffn.w1"]) + params[f"{base}.ffn.b1"])
         ff = T.matmul(hidden, params[f"{base}.ffn.w2"], params[f"{base}.ffn.b2"])
         x = x + T.dropout(ff, cfg.dropout_rate, training, rng)

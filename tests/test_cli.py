@@ -1,5 +1,6 @@
 import base64
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -144,6 +145,27 @@ class TestTrainCommand:
         )
         assert code == 1
         assert "min_history" in capsys.readouterr().err
+
+
+class TestManifests:
+    def test_blas_threads_in_every_manifest(self, synth_csv, trained_checkpoint, tmp_path):
+        """Checkpoint bytes depend on the BLAS thread count, so train, eval and
+        benchmark manifests record it, and two benchmark runs stay byte-identical."""
+        expected = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS") or "unset"
+        eval_manifest = tmp_path / "eval.txt"
+        code = main(["eval", "--data", str(synth_csv), "--checkpoint", str(trained_checkpoint), "--horizon", "1",
+                     "--manifest", str(eval_manifest)])
+        assert code == 0
+        outputs = []
+        for run in range(2):
+            out = tmp_path / f"table{run}.csv"
+            code = main(["benchmark", "--cohort-seeds", "1", "--horizons", "1", "--days", "240", "--out", str(out)]
+                        + FAST_TRAIN)
+            assert code == 0
+            outputs.append(out.read_bytes() + (tmp_path / f"table{run}.csv.manifest").read_bytes())
+        assert outputs[0] == outputs[1]
+        for path in (trained_checkpoint.parent / "manifest.txt", eval_manifest, tmp_path / "table0.csv.manifest"):
+            assert f"blas_threads={expected}\n" in path.read_text(), path
 
 
 class TestEvalCommand:

@@ -25,7 +25,7 @@ from seizureformer.model import (
 )
 from seizureformer.tensor import Tensor, grad_check
 
-from oracles import graph_mhsa_encoder, naive_conv1d, naive_conv2d, per_head_mhsa_encoder
+from oracles import composed_embed, graph_mhsa_encoder, naive_conv1d, naive_conv2d, per_head_mhsa_encoder
 
 TINY = dict(
     lookback=16, patch_length=4, stride=2, kernel_sizes=(3, 5), embed_features=3,
@@ -98,60 +98,112 @@ class TestPatchify:
                     assert got == ((n - p) // s + 1, p)
 
 
+def _embed_params(cfg, seed, **fixed):
+    """``init_params`` with every embed/projection parameter drawn at random
+    (the biases and the positional table start at zero), then ``fixed`` values."""
+    rng = np.random.default_rng(seed)
+    params = init_params(cfg, rng)
+    for name, t in params.items():
+        if name.startswith(("embed.", "proj.")):
+            t.data = rng.standard_normal(t.shape)
+    for name, value in fixed.items():
+        params[name].data = np.asarray(value, dtype=np.float64)
+    return params
+
+
 class TestEmbedPatches:
     def test_identity_kernel_mean_pool(self):
-        """A single 1-tap unit kernel with zero bias reduces to the patch mean."""
-        patches = Tensor(np.array([[1.0, 2.0, 3.0, 6.0], [4.0, 4.0, 4.0, 4.0]]))
-        out = embed_patches(patches, [(Tensor([[1.0]]), Tensor([0.0]))])
-        assert_allclose(out.data, [[3.0], [4.0]])
+        """A single 1-tap unit kernel with zero bias, a unit projection and a zero
+        positional table reduces to the patch mean."""
+        cfg = ModelConfig(lookback=4, patch_length=4, stride=1, kernel_sizes=(1,), embed_features=1, embed_dim=1, heads=1)
+        params = _embed_params(cfg, 0, **{"embed.conv0.weight": [[1.0]], "embed.conv0.bias": [0.0],
+                                          "proj.weight": [[1.0]], "proj.pos": [[0.0]]})
+        patches = Tensor(np.array([[[1.0, 2.0, 3.0, 6.0]], [[4.0, 4.0, 4.0, 4.0]]]))
+        out = embed_patches(patches, cfg, params)
+        assert_allclose(out.data, [[[3.0]], [[4.0]]])
 
     def test_feature_width(self):
+        """The kernel banks give d' = kernels x features, which the projection takes to D."""
         cfg = ModelConfig(**TINY)
-        rng = np.random.default_rng(0)
-        params = init_params(cfg, rng)
+        params = init_params(cfg, np.random.default_rng(0))
         assert cfg.embed_width == 2 * 3
-        patches = Tensor(rng.standard_normal((5, cfg.patch_length)))
-        kernels = [(params["embed.conv0.weight"], params["embed.conv0.bias"]),
-                   (params["embed.conv1.weight"], params["embed.conv1.bias"])]
-        assert embed_patches(patches, kernels).shape == (5, 6)
+        assert params["proj.weight"].shape == (cfg.embed_width, cfg.embed_dim)
+        patches = Tensor(np.random.default_rng(1).standard_normal((5, cfg.patch_count, cfg.patch_length)))
+        assert embed_patches(patches, cfg, params).shape == (5, cfg.patch_count, cfg.embed_dim)
 
     def test_matches_composed_oracle(self):
-        """conv1d + mean pool + concat, all via the naive implementations."""
-        rng = np.random.default_rng(1)
-        patches = rng.standard_normal((4, 8))
-        w_a, b_a = rng.standard_normal((3, 3)), rng.standard_normal(3)
-        w_b, b_b = rng.standard_normal((3, 5)), rng.standard_normal(3)
-        got = embed_patches(
-            Tensor(patches), [(Tensor(w_a), Tensor(b_a)), (Tensor(w_b), Tensor(b_b))]
-        ).data
-        expected = np.zeros((4, 6))
-        for i in range(4):
-            expected[i, :3] = naive_conv1d(patches[i], w_a, b_a, "same").mean(axis=0)
-            expected[i, 3:] = naive_conv1d(patches[i], w_b, b_b, "same").mean(axis=0)
+        """conv1d + mean pool + concat via the naive implementations, then the projection."""
+        cfg = ModelConfig(**{**TINY, "lookback": 10, "patch_length": 8})
+        params = _embed_params(cfg, 1)
+        rng = np.random.default_rng(2)
+        patches = rng.standard_normal((cfg.patch_count, cfg.patch_length))
+        got = embed_patches(Tensor(patches), cfg, params).data
+        embedded = np.zeros((cfg.patch_count, cfg.embed_width))
+        for i in range(cfg.patch_count):
+            for j in range(2):
+                w, b = params[f"embed.conv{j}.weight"].data, params[f"embed.conv{j}.bias"].data
+                embedded[i, 3 * j : 3 * j + 3] = naive_conv1d(patches[i], w, b, "same").mean(axis=0)
+        expected = embedded @ params["proj.weight"].data + params["proj.pos"].data
         assert_allclose(got, expected, atol=1e-12)
+
+    @given(
+        kernel_sizes=st.lists(st.integers(1, 8), min_size=1, max_size=3).map(tuple),
+        patch_length=st.integers(1, 6), stride=st.integers(1, 3), extra=st.integers(0, 5),
+        channels=st.integers(1, 3), features=st.integers(1, 3), use_cnn_embed=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_kernel_oracle(self, kernel_sizes, patch_length, stride, extra, channels, features,
+                                       use_cnn_embed, seed):
+        """The folded (P, D) map against the per-kernel conv1d -> mean -> concat ->
+        proj + pos chain it replaced, both branches: values and every gradient."""
+        cfg = ModelConfig(lookback=patch_length + extra, patch_length=patch_length, stride=stride,
+                          channels=channels, kernel_sizes=kernel_sizes, embed_features=features,
+                          embed_dim=3, heads=1, use_cnn_embed=use_cnn_embed)
+        params = _embed_params(cfg, seed)
+        oracle_params = {k: Tensor(t.data, requires_grad=True) for k, t in params.items()}
+        rng = np.random.default_rng(seed + 1)
+        x = rng.standard_normal((2, channels, cfg.lookback))
+        g = Tensor(rng.standard_normal((2, channels, cfg.patch_count, cfg.embed_dim)))
+        xt, xo = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
+        out = embed_patches(patchify(xt, patch_length, stride), cfg, params)
+        ref = composed_embed(patchify(xo, patch_length, stride), cfg, oracle_params)
+        assert_allclose(out.data, ref.data, rtol=1e-12, atol=1e-12)
+
+        T.tsum(T.mul(out, g)).backward()
+        T.tsum(T.mul(ref, g)).backward()
+        assert_allclose(xt.grad, xo.grad, rtol=1e-12, atol=1e-12)
+        front = [name for name in params if name.startswith(("embed.", "proj."))]
+        assert len(front) == (2 * len(kernel_sizes) if use_cnn_embed else 1) + 2
+        for name in front:
+            assert_allclose(params[name].grad, oracle_params[name].grad, rtol=1e-12, atol=1e-12, err_msg=name)
 
 
 class TestProjectPosition:
-    """The projection stage of ``forward``: ``matmul(embedded, proj.weight) + proj.pos``."""
+    """The projection and positional table, folded into ``embed_patches``."""
 
     def test_identity_projection(self):
-        e = Tensor(np.random.default_rng(2).standard_normal((5, 4)))
-        out = T.matmul(e, Tensor(np.eye(4))) + Tensor(np.zeros((5, 4)))
-        assert_allclose(out.data, e.data)
+        cfg = ModelConfig(lookback=10, patch_length=4, stride=2, kernel_sizes=(1,), embed_features=4, embed_dim=4,
+                          heads=1, use_cnn_embed=False)
+        params = _embed_params(cfg, 2, **{"embed.linear.weight": np.eye(4), "proj.weight": np.eye(4),
+                                          "proj.pos": np.zeros((cfg.patch_count, 4))})
+        patches = Tensor(np.random.default_rng(2).standard_normal((3, cfg.patch_count, 4)))
+        assert_allclose(embed_patches(patches, cfg, params).data, patches.data)
 
     def test_zero_input_gives_positional_table(self):
-        w_pos = Tensor(np.random.default_rng(3).standard_normal((5, 4)))
-        out = T.matmul(Tensor(np.zeros((5, 6))), Tensor(np.zeros((6, 4)))) + w_pos
-        assert_allclose(out.data, w_pos.data)
+        cfg = ModelConfig(**TINY)
+        params = init_params(cfg, np.random.default_rng(3))  # zero biases
+        params["proj.pos"].data = np.random.default_rng(3).standard_normal(params["proj.pos"].shape)
+        out = embed_patches(Tensor(np.zeros((cfg.patch_count, cfg.patch_length))), cfg, params)
+        assert_allclose(out.data, params["proj.pos"].data)
 
     def test_position_sensitivity(self):
         """With a non-constant positional table, permuting patches changes the output."""
-        rng = np.random.default_rng(4)
-        e = rng.standard_normal((5, 6))
-        w_p = Tensor(rng.standard_normal((6, 4)))
-        w_pos = Tensor(rng.standard_normal((5, 4)))
-        out = (T.matmul(Tensor(e), w_p) + w_pos).data
-        permuted = (T.matmul(Tensor(e[::-1].copy()), w_p) + w_pos).data
+        cfg = ModelConfig(**TINY)
+        params = _embed_params(cfg, 4)
+        e = np.random.default_rng(4).standard_normal((cfg.patch_count, cfg.patch_length))
+        out = embed_patches(Tensor(e), cfg, params).data
+        permuted = embed_patches(Tensor(e[::-1].copy()), cfg, params).data
         assert not np.allclose(out[::-1], permuted)
 
 
@@ -367,10 +419,7 @@ class TestForward:
         x = Tensor(rng.standard_normal((3, 2, 16)))
         patches = patchify(x, cfg.patch_length, cfg.stride)
         assert patches.shape == (3, 2, cfg.patch_count, cfg.patch_length)
-        kernels = [(params[f"embed.conv{i}.weight"], params[f"embed.conv{i}.bias"]) for i in range(2)]
-        embedded = embed_patches(patches, kernels)
-        assert embedded.shape == (3, 2, cfg.patch_count, cfg.embed_width)
-        projected = T.matmul(embedded, params["proj.weight"]) + params["proj.pos"]
+        projected = embed_patches(patches, cfg, params)
         assert projected.shape == (3, 2, cfg.patch_count, cfg.embed_dim)
         assert T.conv2d(projected, params["cvt.kernel"]).shape == projected.shape
 
@@ -422,9 +471,8 @@ class TestForward:
         cfg = model.config
         p1 = patchify(Tensor(x), cfg.patch_length, cfg.stride)
         p2 = patchify(Tensor(swapped), cfg.patch_length, cfg.stride)
-        kernels = [(model.params[f"embed.conv{i}.weight"], model.params[f"embed.conv{i}.bias"]) for i in range(2)]
-        e1 = (T.matmul(embed_patches(p1, kernels), model.params["proj.weight"]) + model.params["proj.pos"]).data
-        e2 = (T.matmul(embed_patches(p2, kernels), model.params["proj.weight"]) + model.params["proj.pos"]).data
+        e1 = embed_patches(p1, cfg, model.params).data
+        e2 = embed_patches(p2, cfg, model.params).data
         assert_allclose(e1[:, 0], e2[:, 1], atol=1e-14)
 
 
@@ -433,9 +481,7 @@ def _forward_until_se(model, x):
     cfg = model.config
     params = model.params
     patches = patchify(Tensor(x), cfg.patch_length, cfg.stride)
-    kernels = [(params[f"embed.conv{i}.weight"], params[f"embed.conv{i}.bias"]) for i in range(len(cfg.kernel_sizes))]
-    grid = T.matmul(embed_patches(patches, kernels), params["proj.weight"]) + params["proj.pos"]
-    grid = T.conv2d(grid, params["cvt.kernel"])
+    grid = T.conv2d(embed_patches(patches, cfg, params), params["cvt.kernel"])
     stacked = T.reshape(grid, (x.shape[0] * cfg.channels, cfg.patch_count, cfg.embed_dim))
     encoded = mhsa_encoder(stacked, cfg, params)
     return T.reshape(encoded, (x.shape[0], cfg.channels, cfg.patch_count, cfg.embed_dim))

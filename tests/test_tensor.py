@@ -11,11 +11,14 @@ from seizureformer.tensor import Tensor, _accum, _result, grad_check
 from oracles import (
     broadcast_matmul,
     composed_layer_norm,
+    layer_norm,
     naive_conv1d,
     naive_conv2d,
     naive_matmul,
     per_tap_conv1d,
     per_tap_conv1d_vjp,
+    per_tap_conv2d,
+    per_tap_conv2d_vjp,
     softmax,
 )
 
@@ -178,30 +181,28 @@ class TestConv1dMatchesPerTap:
 
 
 class TestLayerNorm:
+    """The fused layer-norm helpers inside ``encoder_layer``, as one op (``oracles.layer_norm``)."""
+
     def test_rows_standardized(self):
         x = Tensor(np.random.default_rng(13).standard_normal((4, 6)) * 5.0 + 3.0)
-        out = T.layer_norm(x, Tensor(np.ones(6)), Tensor(np.zeros(6)), 1e-5).data
+        out = layer_norm(x, Tensor(np.ones(6)), Tensor(np.zeros(6)), 1e-5).data
         assert_allclose(out.mean(axis=-1), 0.0, atol=1e-12)
         assert_allclose(out.var(axis=-1), 1.0, atol=1e-5)
-
-    def test_bad_affine_shape(self):
-        with pytest.raises(ValueError, match="gamma and beta"):
-            T.layer_norm(Tensor(np.ones((2, 3))), Tensor(np.ones(2)), Tensor(np.zeros(3)), 1e-5)
 
     @given(lead=lead_shapes, d=st.integers(1, 8), seed=st.integers(0, 2**16))
     @example(lead=(3, 3), d=2, seed=498)  # grads near 75: the summation orders differ by 2.5e-12
     @settings(max_examples=80, deadline=None)
     def test_matches_composed_graph(self, lead, d, seed):
-        """Fused op vs the composed primitive-op graph it replaced: forward and
-        the VJPs for x, gamma and beta."""
+        """Fused helpers vs the composed primitive-op graph they replaced: forward
+        and the VJPs for x, gamma and beta."""
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(lead + (d,))
         gamma, beta = rng.standard_normal(d), rng.standard_normal(d)
         g = rng.standard_normal(x.shape)
         results = []
-        for layer_norm in (T.layer_norm, composed_layer_norm):
+        for norm in (layer_norm, composed_layer_norm):
             leaves = [Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
-            out = layer_norm(*leaves, 1e-5)
+            out = norm(*leaves, 1e-5)
             T.tsum(T.mul(out, Tensor(g))).backward()
             results.append([out.data] + [t.grad for t in leaves])
         for fused, composed in zip(*results):
@@ -280,6 +281,36 @@ class TestConv2d:
             T.conv2d(Tensor(np.ones((2, 4, 3))), Tensor(np.ones((2, 3))))
 
 
+class TestConv2dMatchesPerTap:
+    """The band-matrix conv2d against the per-tap loop it replaced."""
+
+    @given(lead=lead_shapes, h=st.integers(1, 4), w=st.integers(1, 9), d=st.integers(1, 4),
+           kh=st.sampled_from([1, 3, 5]), kw=st.sampled_from([1, 3, 5]), seed=st.integers(0, 2**16))
+    @settings(max_examples=80, deadline=None)
+    def test_forward_and_vjps(self, lead, h, w, d, kh, kw, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(lead + (h, w, d))
+        k = rng.standard_normal((kh, kw))
+        g = rng.standard_normal(x.shape)
+        xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
+        out = T.conv2d(xt, kt)
+        assert_allclose(out.data, per_tap_conv2d(x, k), rtol=0, atol=1e-12)
+        T.tsum(T.mul(out, Tensor(g))).backward()
+        gx, gk = per_tap_conv2d_vjp(x, k, g)
+        assert_allclose(xt.grad, gx, rtol=0, atol=1e-12)
+        assert_allclose(kt.grad, gk, rtol=1e-12, atol=1e-12)
+
+    def test_kernel_grad_sums_past_one_chunk(self):
+        """More batch slices than one step of the kernel-grad sum takes."""
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((2 * T._CONV2D_CHUNK + 3, 2, 5, 3))
+        k = rng.standard_normal((3, 3))
+        g = rng.standard_normal(x.shape)
+        kt = Tensor(k, requires_grad=True)
+        T.tsum(T.mul(T.conv2d(Tensor(x), kt), Tensor(g))).backward()
+        assert_allclose(kt.grad, per_tap_conv2d_vjp(x, k, g)[1], rtol=1e-12, atol=1e-12)
+
+
 class TestSoftmax:
     """The oracle softmax that the fused encoder layer is checked against."""
 
@@ -313,10 +344,6 @@ class TestPointwise:
     def test_mean_invalid_axis(self):
         with pytest.raises(ValueError, match="axis"):
             T.mean(Tensor([1.0, 2.0]), axes=2)
-
-    def test_concat(self):
-        a, b = Tensor([[1.0], [2.0]]), Tensor([[3.0], [4.0]])
-        assert_allclose(T.concat([a, b], axis=1).data, [[1, 3], [2, 4]])
 
     def test_log_of_zero_raises(self):
         with pytest.raises(FloatingPointError):
