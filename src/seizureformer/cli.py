@@ -136,9 +136,7 @@ def _config_manifest(run_cfg: RunConfig) -> dict[str, object]:
 
 
 def cmd_synth(args) -> int:
-    cfg = synth.SynthConfig(seed=args.seed, days=args.days)
-    cfg.validate()
-    series = synth.generate_patient(cfg)
+    series = synth.generate_patient(synth.SynthConfig(seed=args.seed, days=args.days))
     write_csv(series, args.out)
     labels = label_days(series)
     labeled = labels.labels != -1
@@ -317,9 +315,9 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
-def _render_svg(dates, z, label_values) -> str:
+def _render_svg(z, label_values) -> str:
     width, height, pad = 1000, 280, 20
-    n = len(dates)
+    n = len(z)
     span = max(n - 1, 1)
     lo = min(float(z.min()), -1.0)
     hi = max(float(z.max()), 1.0)
@@ -356,9 +354,9 @@ def cmd_export_plot(args) -> int:
     for i, day in enumerate(normalized.dates):
         risk = "" if labels.labels[i] == -1 else str(int(labels.labels[i]))
         z = ",".join(kv.format_value(v) for v in normalized.z[i])
-        lines.append(f"{day.isoformat()},{z},{risk}")
+        lines.append(f"{day},{z},{risk}")
     kv.write_atomic(args.out_csv, "\n".join(lines) + "\n")
-    kv.write_atomic(args.out_svg, _render_svg(normalized.dates, normalized.z, labels.labels))
+    kv.write_atomic(args.out_svg, _render_svg(normalized.z, labels.labels))
     print(f"wrote {len(normalized.dates)} rows to {args.out_csv} and figure to {args.out_svg}")
     return 0
 

@@ -14,11 +14,13 @@ import csv
 import datetime
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from . import kv
 
 DEFAULT_LABEL_WINDOW = 60
 DEFAULT_LABEL_FRACTION = 0.7
@@ -44,31 +46,32 @@ class DailyRecord:
 
     def __post_init__(self):
         for name in ("ab_ch1", "ab_ch2", "le_count"):
-            if getattr(self, name) < 0:
-                raise DataError(f"{name} must be non-negative, got {getattr(self, name)} on {self.date}")
+            value = getattr(self, name)
+            if not 0 <= value < 2**63:  # PatientSeries.counts is int64
+                raise DataError(f"{name} must be non-negative and below 2**63, got {value} on {self.date}")
 
 
 @dataclass
 class PatientSeries:
+    """One patient's days: ``records`` as a tuple, and the read-only arrays built from it once,
+    ``dates`` (T,) datetime64[D] and ``counts`` (T, 3) int64 as ab_ch1, ab_ch2, le_count."""
+
     patient_id: str
-    records: list[DailyRecord]
+    records: tuple[DailyRecord, ...]
+    dates: np.ndarray = field(init=False, compare=False, repr=False)
+    counts: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        for prev, cur in zip(self.records, self.records[1:]):
-            if cur.date <= prev.date:
-                raise DataError(f"dates must be strictly increasing; saw {prev.date} then {cur.date}")
+        self.records = tuple(self.records)
+        ordinals = np.fromiter((r.date.toordinal() for r in self.records), np.int64, len(self.records))
+        self.dates = (ordinals - EPOCH_ORDINAL).astype("datetime64[D]")
+        self.counts = np.array([(r.ab_ch1, r.ab_ch2, r.le_count) for r in self.records], np.int64).reshape(-1, 3)
+        self.dates.flags.writeable = self.counts.flags.writeable = False
+        for i in np.flatnonzero(np.diff(ordinals) <= 0)[:1]:  # the first pair out of order
+            raise DataError(f"dates must be strictly increasing; saw {self.dates[i]} then {self.dates[i + 1]}")
 
     def __len__(self) -> int:
         return len(self.records)
-
-    @property
-    def dates(self) -> list[datetime.date]:
-        return [r.date for r in self.records]
-
-    def gaps(self) -> list[tuple[datetime.date, datetime.date]]:
-        """Adjacent record pairs separated by more than one calendar day."""
-        pairs = zip(self.records, self.records[1:])
-        return [(prev.date, cur.date) for prev, cur in pairs if (cur.date - prev.date).days > 1]
 
 
 @dataclass
@@ -80,7 +83,7 @@ class ParseReport:
 @dataclass
 class NormalizedSeries:
     patient_id: str
-    dates: list[datetime.date]
+    dates: np.ndarray  # the series' own (T,) datetime64[D] array
     z: np.ndarray      # (T, channels) z-scores
     mu: np.ndarray     # (channels,)
     sigma: np.ndarray  # (channels,) population std
@@ -89,7 +92,7 @@ class NormalizedSeries:
 @dataclass
 class RiskLabels:
     patient_id: str
-    dates: list[datetime.date]
+    dates: np.ndarray  # the series' own (T,) datetime64[D] array
     labels: np.ndarray     # int8; UNLABELED for warm-up days
     le_counts: np.ndarray  # raw per-day LE counts, kept for count-target baselines
 
@@ -132,10 +135,10 @@ def parse_csv(path: str | Path, patient_id: str | None = None) -> tuple[PatientS
     """Read the canonical per-day CSV; rows come back date-sorted.
 
     Errors name the offending line or date.  Out-of-order rows are accepted
-    and flagged in the report; duplicate dates are rejected.
+    and flagged in the report; duplicate dates are rejected; a UTF-8 BOM is skipped.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -154,24 +157,20 @@ def parse_csv(path: str | Path, patient_id: str | None = None) -> tuple[PatientS
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
 
-    seen: set[datetime.date] = set()
-    for rec in records:
-        if rec.date in seen:
-            raise DataError(f"{path}: duplicate date {rec.date}")
-        seen.add(rec.date)
-
     ordered = sorted(records, key=lambda r: r.date)
-    reordered = ordered != records
-    series = PatientSeries(patient_id or path.stem, ordered)
-    return series, ParseReport(reordered=reordered, gaps=series.gaps())
+    try:
+        series = PatientSeries(patient_id or path.stem, ordered)
+    except DataError as exc:  # once sorted, only a repeated date breaks the order
+        raise DataError(f"{path}: duplicate date ({exc})") from None
+    gaps = np.flatnonzero(np.diff(series.dates) > np.timedelta64(1, "D"))
+    pairs = [(ordered[i].date, ordered[i + 1].date) for i in gaps.tolist()]
+    return series, ParseReport(reordered=ordered != records, gaps=pairs)
 
 
 def write_csv(series: PatientSeries, path: str | Path) -> None:
-    """Emit the canonical CSV schema, byte-deterministic for a fixed series."""
-    lines = [",".join(CSV_HEADER)]
-    for r in series.records:
-        lines.append(f"{r.date.isoformat()},{r.ab_ch1},{r.ab_ch2},{r.le_count}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    """Emit the canonical CSV schema atomically, byte-deterministic for a fixed series."""
+    rows = (f"{day},{a},{b},{le}" for day, (a, b, le) in zip(series.dates, series.counts.tolist()))
+    kv.write_atomic(path, "\n".join([",".join(CSV_HEADER), *rows]) + "\n")
 
 
 def zscore_normalize(series: PatientSeries) -> NormalizedSeries:
@@ -182,7 +181,7 @@ def zscore_normalize(series: PatientSeries) -> NormalizedSeries:
     """
     if not series.records:
         raise DataError("cannot normalize an empty series")
-    counts = np.array([[r.ab_ch1, r.ab_ch2] for r in series.records], dtype=np.float64)
+    counts = series.counts[:, :2].astype(np.float64)
     mu = counts.mean(axis=0)
     sigma = counts.std(axis=0)  # population (divide-by-N)
     z = np.zeros_like(counts)
@@ -218,7 +217,7 @@ def label_days(
         raise ValueError(f"fraction must be finite and positive, got {fraction}")
     if min_history < 1:
         raise ValueError(f"min_history must be >= 1, got {min_history}")
-    le = np.array([r.le_count for r in series.records], dtype=np.float64)
+    le = series.counts[:, 2].astype(np.float64)
     labels = np.full(len(le), UNLABELED, dtype=np.int8)
     # Prefix sums of integer counts are exact, so each mean equals the
     # per-day history.mean() bit for bit.
@@ -227,7 +226,7 @@ def label_days(
     start = np.maximum(days - window, 0)
     history_mean = (prefix[days] - prefix[start]) / (days - start)
     labels[days] = le[days] > fraction * history_mean
-    return RiskLabels(series.patient_id, series.dates, labels, le.astype(np.int64))
+    return RiskLabels(series.patient_id, series.dates, labels, series.counts[:, 2])
 
 
 def make_windows(normalized: NormalizedSeries, labels: RiskLabels, lookback: int, horizon: int) -> WindowSet:
@@ -240,13 +239,13 @@ def make_windows(normalized: NormalizedSeries, labels: RiskLabels, lookback: int
         raise ValueError(f"lookback must be >= 1, got {lookback}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if normalized.dates != labels.dates:
+    if not np.array_equal(normalized.dates, labels.dates):
         raise DataError("normalized series and labels cover different days")
     total = len(normalized.dates)
     if total < lookback + horizon:
         raise DataError(f"series of {total} days is shorter than lookback+horizon={lookback + horizon}")
 
-    ordinals = np.fromiter((d.toordinal() for d in normalized.dates), np.int64, total)
+    ordinals = normalized.dates.astype(np.int64)
     span = lookback + horizon - 1
     # anchor i spans days i-lookback+1 .. i+horizon; contiguity over the span rules out calendar gaps
     anchors = np.arange(lookback - 1, total - horizon)
@@ -266,7 +265,7 @@ def make_windows(normalized: NormalizedSeries, labels: RiskLabels, lookback: int
     return WindowSet(
         x=x,
         y=(positive[keep] > 0).astype(np.int64),
-        anchor=(ordinals[anchors] - EPOCH_ORDINAL).astype("datetime64[D]"),
+        anchor=normalized.dates[anchors],
         horizon_le_sum=le_sum[keep],
         horizon=horizon,
     )

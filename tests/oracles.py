@@ -13,9 +13,11 @@ no fused bias) with the encoder built from it and ``transpose_last2``, the
 ``softmax`` op and the graph-level encoder built from it (replaced by the
 fused ``encoder_layer``), the per-day ``label_days`` loop, the per-anchor
 ``make_windows`` loop and the list-based ``split_chronological`` (replaced
-by array ops on a ``WindowSet``), and the tie-grouping loops of
-``roc_auc`` / ``pr_auc``.  The baseline objective gradients live here too,
-since only tests evaluate them.
+by array ops on a ``WindowSet``), the pairwise gap loop over records
+(replaced by one diff over ``PatientSeries.dates``), the scalar Poisson
+inverse-CDF sampler (replaced by the masked array recurrence), and the
+tie-grouping loops of ``roc_auc`` / ``pr_auc``.  The baseline objective
+gradients live here too, since only tests evaluate them.
 """
 
 import datetime
@@ -288,7 +290,7 @@ def loop_make_windows(normalized, labels, lookback: int, horizon: int) -> list:
     total = len(normalized.dates)
     if total < lookback + horizon:
         raise DataError(f"series of {total} days is shorter than lookback+horizon={lookback + horizon}")
-    dates = normalized.dates
+    dates = normalized.dates.tolist()
     le = labels.le_counts
     samples = []
     for i in range(lookback - 1, total - horizon):
@@ -310,6 +312,27 @@ def loop_make_windows(normalized, labels, lookback: int, horizon: int) -> list:
             )
         )
     return samples
+
+
+def pairwise_gaps(records) -> list:
+    """Adjacent record pairs separated by more than one calendar day."""
+    pairs = zip(records, records[1:])
+    return [(prev.date, cur.date) for prev, cur in pairs if (cur.date - prev.date).days > 1]
+
+
+def scalar_poisson_icdf(lam: float, u: float) -> int:
+    """Smallest k with CDF(k) >= u, via the pmf recurrence p_k = p_{k-1}*lam/k."""
+    if lam <= 0.0:
+        return 0
+    p = math.exp(-lam)
+    cdf = p
+    k = 0
+    cap = int(lam + 12.0 * math.sqrt(lam + 1.0) + 30.0)
+    while u > cdf and k < cap:
+        k += 1
+        p *= lam / k
+        cdf += p
+    return k
 
 
 def list_split_chronological(samples: list, train_frac: float = 0.7, val_frac: float = 0.1) -> tuple:

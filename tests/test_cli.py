@@ -44,6 +44,18 @@ class TestSynthCommand:
         main(["synth", "--seed", "1", "--days", "150", "--out", str(out)])
         assert len(out.read_text().splitlines()) == 151  # header + rows
 
+    def test_failed_write_leaves_old_csv(self, tmp_path, monkeypatch):
+        out = tmp_path / "p.csv"
+        out.write_text("old series\n")
+
+        def broken_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(kv.os, "replace", broken_replace)
+        assert main(["synth", "--seed", "1", "--days", "150", "--out", str(out)]) == 2
+        assert out.read_text() == "old series\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv"]
+
     def test_too_few_days_usage_error(self, tmp_path):
         assert main(["synth", "--seed", "1", "--days", "100", "--out", str(tmp_path / "p.csv")]) == 1
 
@@ -276,13 +288,16 @@ class TestExportPlotCommand:
         assert svg_out.read_text().startswith("<svg")
 
     def test_z_values_are_plain_floats(self, synth_csv, tmp_path):
-        """Each z field is the normalized value's float text, bit for bit (not ``np.float64(...)``)."""
+        """Each z field is the normalized value's float text, bit for bit (not ``np.float64(...)``),
+        and each date is the input row's date text, byte for byte."""
         csv_out = tmp_path / "plot.csv"
         assert main(["export-plot", "--data", str(synth_csv), "--out-csv", str(csv_out),
                      "--out-svg", str(tmp_path / "plot.svg")]) == 0
         z = zscore_normalize(parse_csv(synth_csv)[0]).z
-        fields = [line.split(",")[1:3] for line in csv_out.read_text().splitlines()[1:]]
-        assert np.array([[float(v) for v in row] for row in fields]).tobytes() == z.tobytes()
+        rows = [line.split(",") for line in csv_out.read_bytes().decode().splitlines()[1:]]
+        assert np.array([[float(v) for v in row[1:3]] for row in rows]).tobytes() == z.tobytes()
+        input_dates = [line.split(b",")[0] for line in synth_csv.read_bytes().splitlines()[1:]]
+        assert [row[0].encode() for row in rows] == input_dates
 
     def test_no_high_risk_days_no_markers(self, tmp_path):
         flat = tmp_path / "flat.csv"

@@ -22,7 +22,7 @@ from seizureformer.data import (
     zscore_normalize,
 )
 
-from oracles import list_split_chronological, loop_label_days, loop_make_windows
+from oracles import list_split_chronological, loop_label_days, loop_make_windows, pairwise_gaps
 
 DAY0 = datetime.date(2020, 1, 1)
 
@@ -73,6 +73,17 @@ class TestParseCsv:
         with pytest.raises(DataError, match=r"p\.csv:2: ab_ch1 must be non-negative"):
             parse_csv(f)
 
+    def test_count_beyond_int64(self, tmp_path):
+        f = tmp_path / "p.csv"
+        f.write_text(f"date,ab_ch1,ab_ch2,le_count\n2020-01-01,1,2,0\n2020-01-02,3,4,{2**63}\n")
+        with pytest.raises(DataError, match=r"p\.csv:3: le_count must be non-negative and below 2\*\*63"):
+            parse_csv(f)
+
+    @pytest.mark.parametrize("count", [2**63, -1])
+    def test_record_count_must_fit_int64(self, count):
+        with pytest.raises(DataError, match=rf"le_count must be non-negative and below 2\*\*63, got {count}"):
+            DailyRecord(DAY0, 1, 2, count)
+
     def test_bad_header(self, tmp_path):
         f = tmp_path / "p.csv"
         f.write_text("day,a,b,c\n")
@@ -85,6 +96,13 @@ class TestParseCsv:
         _, report = parse_csv(f)
         assert report.gaps == [(datetime.date(2020, 1, 1), datetime.date(2020, 1, 5))]
 
+    def test_utf8_bom_skipped(self, tmp_path):
+        body = "date,ab_ch1,ab_ch2,le_count\n2020-01-01,1,2,0\n2020-01-02,3,4,1\n"
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(body.encode())
+        bom.write_bytes(b"\xef\xbb\xbf" + body.encode())
+        assert parse_csv(bom, "p") == parse_csv(plain, "p")
+
     def test_roundtrip_bytes(self, tmp_path):
         series = make_series([1, 2, 3], [4, 5, 6], [0, 1, 0])
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -92,6 +110,64 @@ class TestParseCsv:
         reparsed, _ = parse_csv(a)
         data.write_csv(reparsed, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestSeriesArrays:
+    @given(
+        days=st.lists(
+            st.tuples(st.integers(1, 4), st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6)),
+            min_size=1, max_size=60,
+        ),
+        order_seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_arrays_and_gaps_match_records(self, tmp_path_factory, days, order_seed):
+        """Day steps of 1-4 make calendar gaps; the CSV rows go in shuffled."""
+        records, day = [], DAY0
+        for step, a, b, le in days:
+            day += datetime.timedelta(days=step)
+            records.append(DailyRecord(day, a, b, le))
+        series = PatientSeries("p", records)
+        assert series.records == tuple(records)
+        assert series.dates.dtype == np.dtype("datetime64[D]") and series.dates.tolist() == [r.date for r in records]
+        assert series.counts.dtype == np.int64
+        assert series.counts.tolist() == [[r.ab_ch1, r.ab_ch2, r.le_count] for r in records]
+
+        order = np.random.default_rng(order_seed).permutation(len(records))
+        f = tmp_path_factory.mktemp("csv") / "p.csv"
+        f.write_text("\n".join(["date,ab_ch1,ab_ch2,le_count"] + [
+            f"{records[i].date},{records[i].ab_ch1},{records[i].ab_ch2},{records[i].le_count}" for i in order
+        ]) + "\n")
+        parsed, report = parse_csv(f)
+        assert parsed == series
+        assert report.gaps == pairwise_gaps(records)
+        assert report.reordered == (order.tolist() != sorted(order.tolist()))
+
+    @given(n=st.integers(2, 30), at=st.integers(1, 29), repeat=st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_order_errors_name_the_date(self, tmp_path_factory, n, at, repeat):
+        at = min(at, n - 1)
+        dates = [DAY0 + datetime.timedelta(days=2 * i) for i in range(n)]
+        if repeat:
+            dates[at] = dates[at - 1]
+        else:
+            dates[at - 1], dates[at] = dates[at], dates[at - 1]
+        with pytest.raises(DataError, match=f"saw {dates[at - 1]} then {dates[at]}"):
+            PatientSeries("p", [DailyRecord(d, 1, 2, 0) for d in dates])
+        f = tmp_path_factory.mktemp("csv") / "p.csv"
+        f.write_text("date,ab_ch1,ab_ch2,le_count\n" + "".join(f"{d},1,2,0\n" for d in dates))
+        if repeat:
+            with pytest.raises(DataError, match=rf"p\.csv: duplicate date .*{dates[at]}"):
+                parse_csv(f)
+        else:  # a CSV may list its rows in any order
+            assert parse_csv(f)[1].reordered
+
+    def test_arrays_read_only(self):
+        series = make_series([1, 2, 3])
+        with pytest.raises(ValueError, match="read-only"):
+            series.counts[0, 0] = 9
+        with pytest.raises(ValueError, match="read-only"):
+            series.dates[0] = series.dates[1]
 
 
 class TestZscore:

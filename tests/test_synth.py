@@ -1,8 +1,42 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seizureformer import baselines, data, metrics, synth
 from seizureformer.synth import SynthConfig, generate_cohort, generate_patient
+
+from oracles import scalar_poisson_icdf
+
+# sha256 of write_csv(generate_patient(SynthConfig(seed, days, channel_correlation=c))), recorded
+# from the scalar per-day sampler; the checked-in benchmark digests and AUCs rest on these bytes
+PINNED_CSV_SHA256 = {
+    (0, 120, 0.5): "06229ad2b17b3e5a9234a86739ceb129f960a7c76e0c0e094524fe42002ca74b",
+    (5, 1000, 0.5): "0710ab8d91b140654048190491f89cc87bb2f352168a8f25ae18ed1827b14250",
+    (42, 4000, 0.5): "6b2636e3816ca1c3f8699466b25301f267dd2927711012856a49f79ddfebb08b",
+    (99, 365, 0.3): "c264ed0faa33cb582b29e6d8755f0bd0a950d0a60698a3f3ad7f3e0dadb0062f",
+    (123, 365, 1.0): "810fb0a4217b96d2fcca1c70d2c92dfff3884562a1cfa70ccbe77b517c9b6776",
+}
+
+
+def cdf_boundary(lam: float, k: int) -> float:
+    """The scalar sampler's running CDF after k steps: a u that lands exactly on a step."""
+    p = cdf = math.exp(-lam)
+    for j in range(1, k + 1):
+        p *= lam / j
+        cdf += p
+    return cdf
+
+
+rates = st.one_of(st.just(0.0), st.floats(0.0, 500.0), st.floats(0.0, 40.0))
+uniforms = st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.sampled_from([0.0, 0.5, 1.0 - 1e-12, 1.0 - 1e-15, float(np.nextafter(1.0, 0.0))]),  # near 1: the cap stops it
+)
+boundary_draws = st.tuples(st.floats(0.0, 60.0), st.integers(0, 80)).map(lambda d: (d[0], min(cdf_boundary(*d), 0.99)))
 
 
 def autocorr(x, lag):
@@ -41,6 +75,22 @@ class TestGeneration:
             cfg = SynthConfig(seed=seed, days=1000, multiweek_amplitude=0.0)
             le = [r.le_count for r in generate_patient(cfg).records]
             assert autocorr(le, 7) > autocorr(le, 3), f"seed {seed}"
+
+
+class TestPoissonSampler:
+    @given(draws=st.lists(st.one_of(st.tuples(rates, uniforms), boundary_draws), min_size=1, max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_array_recurrence_matches_scalar_oracle(self, draws):
+        lam, u = (np.array(col) for col in zip(*draws))
+        got = synth._poisson_icdf(lam, u)
+        assert got.dtype == np.int64 and got.shape == lam.shape
+        assert got.tolist() == [scalar_poisson_icdf(a, b) for a, b in draws]
+
+    @pytest.mark.parametrize(("seed", "days", "correlation"), sorted(PINNED_CSV_SHA256))
+    def test_csv_bytes_pinned(self, tmp_path, seed, days, correlation):
+        out = tmp_path / "p.csv"
+        data.write_csv(generate_patient(SynthConfig(seed=seed, days=days, channel_correlation=correlation)), out)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_CSV_SHA256[seed, days, correlation]
 
 
 class TestCohort:
