@@ -12,13 +12,14 @@ import argparse
 import dataclasses
 import hashlib
 import os
+import platform
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import baselines, gradcheck, kv, metrics, synth
+from . import __version__, baselines, gradcheck, kv, metrics, synth
 from .data import (
     DEFAULT_HORIZONS,
     DEFAULT_LABEL_FRACTION,
@@ -128,8 +129,10 @@ def _pipeline(run_cfg: RunConfig, horizon: int) -> dict[str, object]:
 
 
 def _config_manifest(run_cfg: RunConfig) -> dict[str, object]:
-    """What every manifest starts with: the BLAS thread count and the flat config."""
-    return {"blas_threads": _BLAS_THREADS} | {f"config.{k}": getattr(o, k) for k, (o, _) in _flat_keys(run_cfg).items()}
+    """What every manifest starts with: the BLAS thread count, the versions and the flat config."""
+    head = {"blas_threads": _BLAS_THREADS, "package_version": __version__, "numpy_version": np.__version__,
+            "python_version": platform.python_version()}
+    return head | {f"config.{k}": getattr(o, k) for k, (o, _) in _flat_keys(run_cfg).items()}
 
 
 # -- commands -----------------------------------------------------------------

@@ -65,7 +65,15 @@ class PatientSeries:
         self.records = tuple(self.records)
         ordinals = np.fromiter((r.date.toordinal() for r in self.records), np.int64, len(self.records))
         self.dates = (ordinals - EPOCH_ORDINAL).astype("datetime64[D]")
-        self.counts = np.array([(r.ab_ch1, r.ab_ch2, r.le_count) for r in self.records], np.int64).reshape(-1, 3)
+        rows = [(r.ab_ch1, r.ab_ch2, r.le_count) for r in self.records]
+        counts = np.array(rows).reshape(-1, 3)
+        if counts.size and counts.dtype.kind not in "biu":  # one dtype check; records are searched only on failure
+            for r in self.records:
+                for name in ("ab_ch1", "ab_ch2", "le_count"):
+                    if not isinstance(value := getattr(r, name), (int, np.integer)):
+                        raise DataError(f"{name} must be an integer, got {value} on {r.date}")
+            counts = np.array(rows, np.int64)  # integer types numpy unites only as float, e.g. uint64 with int64
+        self.counts = counts.astype(np.int64, copy=False).reshape(-1, 3)
         self.dates.flags.writeable = self.counts.flags.writeable = False
         for i in np.flatnonzero(np.diff(ordinals) <= 0)[:1]:  # the first pair out of order
             raise DataError(f"dates must be strictly increasing; saw {self.dates[i]} then {self.dates[i + 1]}")

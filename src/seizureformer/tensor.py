@@ -11,7 +11,8 @@ encoder layer) plus a finite-difference checker.
 
 Inside a ``with no_grad():`` block operations record nothing: results carry
 no parents and no closure, so each intermediate is freed as soon as the next
-operation has consumed it.  Values are the same bytes either way.
+operation has consumed it.  Values are the same bytes either way, up to the
+BLAS's kernel choice in ``encoder_layer``, which then runs in row chunks.
 
 Numerical policy: all values are float64, and any operation that produces a
 NaN/Inf from finite inputs raises ``FloatingPointError`` instead of letting
@@ -20,6 +21,8 @@ the poison propagate.
 
 from __future__ import annotations
 
+import os
+import threading
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -30,6 +33,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 Array = np.ndarray
 
 _CONV2D_CHUNK = 32  # batch slices per step of conv2d's kernel-grad sum
+_CHUNK_FLOATS = 2**16  # (rows, ffn) hidden floats per no-grad encoder chunk: 512 KB, well inside a 2 MB L2
+_WORKERS: int | None = None  # threads beside the caller for chunked work; None: one per other usable CPU
+_pool = None  # (size, ThreadPoolExecutor), started by the first call that has work for a worker
+_pool_lock = threading.Lock()
 
 _AxesArg = int | Sequence[int] | None
 
@@ -390,6 +397,44 @@ def _layer_norm_vjp(g: Array, xhat: Array, inv: Array, gamma: Tensor, beta: Tens
     return dxhat
 
 
+def _run_chunks(fn: Callable[[int], None], count: int) -> None:
+    """Call ``fn(i)`` for i in range(count), shared between the calling thread and up
+    to one pool thread per other CPU in the affinity mask (``_WORKERS`` when set), never
+    more threads than calls.  Returns once every started call has finished, so no worker
+    still writes; then the first error re-raises, the caller's own first.  Workers call
+    no traced op: the tracer keeps one span stack."""
+    global _pool
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cpus - 1 if _WORKERS is None else _WORKERS, count - 1)
+    todo, lock = iter(range(count)), threading.Lock()
+
+    def drain() -> None:
+        while True:
+            with lock:
+                i = next(todo, None)
+            if i is None:
+                return
+            fn(i)
+
+    futures = []
+    if workers > 0:
+        with _pool_lock:
+            if _pool is None or _pool[0] < workers:
+                from concurrent.futures import ThreadPoolExecutor  # not at import: it loads logging (~11 ms)
+
+                if _pool is not None:
+                    _pool[1].shutdown()
+                _pool = (workers, ThreadPoolExecutor(workers, thread_name_prefix="encoder"))
+            futures = [_pool[1].submit(drain) for _ in range(workers)]
+    try:
+        drain()
+    finally:  # a worker not yet started (or lost to a fork) has nothing left; wait for the others
+        errors = [f.exception() for f in futures if not f.cancel()]
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
 def encoder_layer(
     x: Tensor, ln1: tuple[Tensor, Tensor], heads: Sequence[tuple[Tensor, Tensor, Tensor]], wo: Tensor,
     ln2: tuple[Tensor, Tensor], ffn: tuple[Tensor, Tensor, Tensor, Tensor], eps: float, dropout_rate: float,
@@ -401,37 +446,65 @@ def encoder_layer(
     ``heads`` holds each head's (wq, wk, wv), packed per call into one (d, 3d) GEMM;
     the heads run batched as (N, h, p, dk).  ``ffn`` is (w1, b1, w2, b2).  Keep-masks
     are drawn as ``dropout`` draws them, attention first; each head's (N, p, p)
-    softmax goes to ``attn_sink``."""
+    softmax goes to ``attn_sink``.  When no graph is recorded, the forward runs in
+    even chunks of at most ``_CHUNK_FLOATS // (p * ffn_dim)`` sequences on every CPU
+    the process may use (``_run_chunks``).  Rows are independent and the bounds follow
+    from the shapes, so the bytes never depend on the worker count; against one pass
+    over all rows they differ only where the BLAS picks its GEMM kernel by row count."""
     n, p, d = x.data.shape
     h, dk = len(heads), d // len(heads)
     w1, b1, w2, b2 = ffn
     weights = [w for group in zip(*heads) for w in group]  # every wq, then every wk, then every wv
     wqkv = np.concatenate([w.data for w in weights], axis=1)
     scale = 1.0 / np.sqrt(dk)
-    n1, xhat1, inv1 = _layer_norm_fwd(x.data.reshape(-1, d), ln1[0].data, ln1[1].data, eps)
-    q, k, v = (n1 @ wqkv).reshape(n, p, 3, h, dk).transpose(2, 0, 3, 1, 4)
-    attn = np.matmul(q, k.swapaxes(-1, -2))  # (N, h, p, p); the softmax runs in place
-    attn *= scale
-    amax = attn[..., :1].copy()  # row max as p-1 elementwise maxima; numpy's short-axis max is slow
-    for j in range(1, p):
-        np.maximum(amax, attn[..., j : j + 1], out=amax)
-    attn -= amax
-    np.exp(attn, out=attn)
-    attn /= attn.sum(axis=-1, keepdims=True)
-    ctx = np.matmul(attn, v).transpose(0, 2, 1, 3).reshape(-1, d)
-    x1 = ctx @ wo.data
-    if (keep1 := _keep_mask(x1.shape, dropout_rate, training, rng)) is not None:
-        x1 *= keep1
-    x1 += x.data.reshape(-1, d)
-    n2, xhat2, inv2 = _layer_norm_fwd(x1, ln2[0].data, ln2[1].data, eps)
-    hidden = n2 @ w1.data
-    hidden += b1.data
-    np.maximum(hidden, 0.0, out=hidden)
-    out = hidden @ w2.data
-    out += b2.data
-    if (keep2 := _keep_mask(out.shape, dropout_rate, training, rng)) is not None:
-        out *= keep2
-    out += x1
+    parents = (x, *ln1, *weights, wo, *ln2, *ffn)
+    keep1, keep2 = (_keep_mask((n * p, d), dropout_rate, training, rng) for _ in range(2))
+    out = np.empty((n * p, d))
+
+    def fwd(lo: int, hi: int) -> tuple[Array, ...]:
+        """The forward over sequences [lo, hi): writes their rows of ``out`` and returns what the VJP reads."""
+        rows = slice(lo * p, hi * p)
+        xs = x.data[lo:hi].reshape(-1, d)
+        n1, xhat1, inv1 = _layer_norm_fwd(xs, ln1[0].data, ln1[1].data, eps)
+        q, k, v = (n1 @ wqkv).reshape(-1, p, 3, h, dk).transpose(2, 0, 3, 1, 4)
+        attn = np.matmul(q, k.swapaxes(-1, -2))  # (n, h, p, p); the softmax runs in place
+        attn *= scale
+        amax = attn[..., :1].copy()  # row max as p-1 elementwise maxima; numpy's short-axis max is slow
+        for j in range(1, p):
+            np.maximum(amax, attn[..., j : j + 1], out=amax)
+        attn -= amax
+        np.exp(attn, out=attn)
+        attn /= attn.sum(axis=-1, keepdims=True)
+        ctx = np.matmul(attn, v).transpose(0, 2, 1, 3).reshape(-1, d)
+        x1 = ctx @ wo.data
+        if keep1 is not None:
+            x1 *= keep1[rows]
+        x1 += xs
+        n2, xhat2, inv2 = _layer_norm_fwd(x1, ln2[0].data, ln2[1].data, eps)
+        hidden = n2 @ w1.data
+        hidden += b1.data
+        np.maximum(hidden, 0.0, out=hidden)
+        y = np.matmul(hidden, w2.data, out=out[rows])
+        y += b2.data
+        if keep2 is not None:
+            y *= keep2[rows]
+        y += x1
+        return n1, xhat1, inv1, q, k, v, attn, ctx, n2, xhat2, inv2, hidden
+
+    if _recording.get() and any(t.requires_grad for t in parents):
+        n1, xhat1, inv1, q, k, v, attn, ctx, n2, xhat2, inv2, hidden = fwd(0, n)
+    else:  # each chunk's (rows, ffn) hidden stays inside L2; nothing reduces over rows
+        parts = -(-n // max(1, _CHUNK_FLOATS // (p * w1.data.shape[1])))
+        bounds = [n * i // parts for i in range(parts + 1)]  # even chunks: no lone row takes numpy's vector path
+        attn = None if attn_sink is None else np.empty((n, h, p, p))
+
+        def chunk(i: int) -> None:
+            lo, hi = bounds[i], bounds[i + 1]
+            maps = fwd(lo, hi)[6]
+            if attn is not None:
+                attn[lo:hi] = maps
+
+        _run_chunks(chunk, parts)
     if attn_sink is not None:
         attn_sink.extend(Tensor(attn[:, j]) for j in range(h))
 
@@ -464,7 +537,7 @@ def encoder_layer(
         gx1 += _layer_norm_vjp(gqkv @ wqkv.T, xhat1, inv1, *ln1)  # gatt is spent, so gx1 is free
         _accum(x, gx1.reshape(x.data.shape))
 
-    return _result(out.reshape(n, p, d), (x, *ln1, *weights, wo, *ln2, *ffn), vjp)
+    return _result(out.reshape(n, p, d), parents, vjp)  # vjp is kept only on the recorded branch
 
 
 def log(a: Tensor) -> Tensor:

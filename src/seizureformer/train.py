@@ -147,6 +147,10 @@ def train_loop(
     params = model.params
     best_auc = -math.inf
     best: dict[str, np.ndarray] = {}
+    # glibc returns a freed heap top to the OS, so every step faults its temporaries in
+    # again, until freeing a block of several MB raises its trim threshold: free 8 MB now
+    primer = np.empty(2**20)
+    del primer
 
     for epoch in range(cfg.max_epochs):
         order = rng.permutation(len(train_samples))

@@ -1,11 +1,15 @@
 import base64
 import hashlib
 import os
+import platform
+import threading
 
 import numpy as np
 import pytest
 
+import seizureformer
 from seizureformer import cli, gradcheck, kv
+from seizureformer import tensor as T
 from seizureformer.cli import load_run_config, main
 from seizureformer.data import parse_csv, zscore_normalize
 from seizureformer.tensor import Tensor
@@ -176,8 +180,12 @@ class TestManifests:
             assert code == 0
             outputs.append(out.read_bytes() + (tmp_path / f"table{run}.csv.manifest").read_bytes())
         assert outputs[0] == outputs[1]
+        versions = (f"package_version={seizureformer.__version__}\n", f"numpy_version={np.__version__}\n",
+                    f"python_version={platform.python_version()}\n")
         for path in (trained_checkpoint.parent / "manifest.txt", eval_manifest, tmp_path / "table0.csv.manifest"):
-            assert f"blas_threads={expected}\n" in path.read_text(), path
+            text = path.read_text()
+            assert f"blas_threads={expected}\n" in text, path
+            assert all(line in text for line in versions), path
 
 
 class TestEvalCommand:
@@ -194,6 +202,29 @@ class TestEvalCommand:
         assert code == 0
         assert "test ROC AUC" in capsys.readouterr().out
         assert "metrics.roc_auc=" in (tmp_path / "eval.txt").read_text()
+
+    def test_non_finite_worker_chunk_exits_three(self, synth_csv, trained_checkpoint, monkeypatch, capsys):
+        """A NaN made in one worker's chunk of the no-grad encoder is caught by the
+        whole-output check once every chunk is done, and eval exits 3."""
+        fwd, poisoned = T._layer_norm_fwd, threading.Event()
+
+        def poison(*args):
+            if threading.current_thread() is threading.main_thread():
+                assert poisoned.wait(10)  # hold the caller back until a worker has poisoned its chunk
+                return fwd(*args)
+            out, xhat, inv = fwd(*args)
+            if not poisoned.is_set():
+                out[0, 0] = np.nan
+                poisoned.set()
+            return out, xhat, inv
+
+        monkeypatch.setattr(T, "_layer_norm_fwd", poison)
+        monkeypatch.setattr(T, "_WORKERS", 1)
+        monkeypatch.setattr(T, "_CHUNK_FLOATS", 4 * 14 * 16)  # 4 sequences a chunk at FAST_TRAIN widths
+        capsys.readouterr()
+        code = main(["eval", "--data", str(synth_csv), "--checkpoint", str(trained_checkpoint), "--horizon", "1"])
+        assert code == 3
+        assert "non-finite" in capsys.readouterr().err
 
     def test_malformed_checkpoint_exits_one(self, synth_csv, tmp_path, capsys):
         out = tmp_path / "run"

@@ -1,4 +1,6 @@
+import dataclasses
 import datetime
+import re
 
 import warnings
 
@@ -161,6 +163,24 @@ class TestSeriesArrays:
                 parse_csv(f)
         else:  # a CSV may list its rows in any order
             assert parse_csv(f)[1].reordered
+
+    @pytest.mark.parametrize("value", [1.5, np.float64(2.0)])
+    @pytest.mark.parametrize("field", ["ab_ch1", "ab_ch2", "le_count"])
+    def test_non_integer_count_rejected_naming_the_record(self, value, field):
+        """A float passes DailyRecord's range check; int64 would have truncated it."""
+        records = [DailyRecord(DAY0 + datetime.timedelta(days=i), 1, 2, 0) for i in range(3)]
+        records[1] = dataclasses.replace(records[1], **{field: value})
+        with pytest.raises(DataError, match=re.escape(f"{field} must be an integer, got {value} on {records[1].date}")):
+            PatientSeries("p", records)
+
+    @pytest.mark.parametrize("kind, other", [(int, int), (np.int64, int), (np.int32, int), (np.uint8, int),
+                                             (bool, int), (np.uint64, np.int64)])  # the last pair unites as float
+    def test_integer_counts_of_any_type(self, kind, other):
+        counts = [(3, 1, 0), (0, 2, 1), (1, 1, 1)]
+        series = PatientSeries("p", [DailyRecord(DAY0 + datetime.timedelta(days=i), kind(a), other(b), kind(c))
+                                     for i, (a, b, c) in enumerate(counts)])
+        assert series.counts.dtype == np.int64
+        assert series.counts.tolist() == [[int(kind(a)), b, int(kind(c))] for a, b, c in counts]
 
     def test_arrays_read_only(self):
         series = make_series([1, 2, 3])

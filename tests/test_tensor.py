@@ -1,3 +1,12 @@
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -538,3 +547,161 @@ class TestProperties:
     def test_conv2d_shape_preserved(self, h, w, d, kh, kw):
         out = T.conv2d(Tensor(np.ones((h, w, d))), Tensor(np.ones((kh, kw))))
         assert out.shape == (h, w, d)
+
+
+def _encoder_args(rng, d, heads, ffn):
+    """Random ``encoder_layer`` parameters after ``x``, each requiring a grad."""
+    def t(*shape):
+        return Tensor(0.5 * rng.standard_normal(shape), requires_grad=True)
+
+    dk = d // heads
+    return ((t(d), t(d)), [(t(d, dk), t(d, dk), t(d, dk)) for _ in range(heads)], t(d, d), (t(d), t(d)),
+            (t(d, ffn), t(ffn), t(ffn, d), t(d)), 1e-5, 0.3)
+
+
+class TestChunkedEncoder:
+    """With no graph recorded, ``encoder_layer`` runs in row chunks on pool threads.
+    The one-shot recorded forward is the oracle: every byte must match it at widths
+    where the BLAS keeps one GEMM kernel whatever the row count."""
+
+    @staticmethod
+    def _compare(x, args, training, seed, workers):
+        with mock.patch.object(T, "_WORKERS", workers):
+            sink_c, rng_c = [], np.random.default_rng(seed)
+            with T.no_grad():
+                chunked = T.encoder_layer(Tensor(x), *args, training, rng_c, sink_c)
+        sink_o, rng_o = [], np.random.default_rng(seed)
+        oracle = T.encoder_layer(Tensor(x, requires_grad=True), *args, training, rng_o, sink_o)
+        assert oracle.requires_grad and not chunked.requires_grad
+        assert chunked.data.tobytes() == oracle.data.tobytes()
+        assert [a.data.tobytes() for a in sink_c] == [a.data.tobytes() for a in sink_o]
+        assert rng_c.random() == rng_o.random()
+
+    @staticmethod
+    def _sizes(data, p, ffn):
+        """A sequence count: under one chunk, a whole number of chunks, or between."""
+        step = max(1, T._CHUNK_FLOATS // (p * ffn))
+        return data.draw(st.one_of(st.integers(1, 3 * step + 1), st.sampled_from([max(1, step - 1), step + 1])), "n")
+
+    @given(widths=st.sampled_from([(32, 128), (128, 1024)]), heads=st.sampled_from([1, 2, 4]), p=st.integers(1, 16),
+           training=st.booleans(), workers=st.integers(0, 3), seed=st.integers(0, 2**16), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_chunks_match_one_shot_forward(self, widths, heads, p, training, workers, seed, data):
+        """(embed_dim, ffn_dim) of the defaults and of reference_preset; other widths
+        are checked to rounding in the next test."""
+        (d, ffn), rng = widths, np.random.default_rng(seed)
+        x = rng.standard_normal((self._sizes(data, p, ffn), p, d))
+        self._compare(x, _encoder_args(rng, d, heads, ffn), training, seed, workers)
+
+    @given(dk=st.integers(1, 48), heads=st.integers(1, 3), p=st.integers(1, 16), ffn=st.integers(16, 4096),
+           workers=st.integers(1, 3), seed=st.integers(0, 2**16), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_any_width_same_bytes_for_any_worker_count(self, dk, heads, p, ffn, workers, seed, data):
+        """At any width the chunks are fixed by the shapes, so the worker count never
+        changes a byte.  Against the one-shot pass, OpenBLAS switches GEMM kernels at a
+        matrix-size threshold, and for many shapes the two kernels round differently."""
+        d, rng = heads * dk, np.random.default_rng(seed)
+        x, args = rng.standard_normal((self._sizes(data, p, ffn), p, d)), _encoder_args(rng, d, heads, ffn)
+        with T.no_grad():
+            with mock.patch.object(T, "_WORKERS", 0):
+                serial = T.encoder_layer(Tensor(x), *args)
+            with mock.patch.object(T, "_WORKERS", workers):
+                pooled = T.encoder_layer(Tensor(x), *args)
+        assert pooled.data.tobytes() == serial.data.tobytes()
+        oracle = T.encoder_layer(Tensor(x, requires_grad=True), *args)
+        assert_allclose(serial.data, oracle.data, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("ffn, d, heads", [(128, 32, 2), (1024, 128, 2)])  # defaults and reference_preset
+    @pytest.mark.parametrize("n", [1, 35, 36, 37, 300])  # 36 sequences a chunk at default widths
+    def test_preset_widths(self, ffn, d, heads, n):
+        rng = np.random.default_rng(n)
+        self._compare(rng.standard_normal((n, 14, d)), _encoder_args(rng, d, heads, ffn), False, 0, 1)
+
+    def test_one_row_per_sequence_has_no_lone_row_chunk(self):
+        """p = 1 and one sequence past a chunk: even chunks keep every GEMM at two or
+        more rows, where a lone row would take numpy's matrix-vector path."""
+        rng = np.random.default_rng(4)
+        self._compare(rng.standard_normal((T._CHUNK_FLOATS // 128 + 1, 1, 32)), _encoder_args(rng, 32, 2, 128),
+                      False, 0, 1)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_worker_error_reraises_after_every_chunk(self, monkeypatch, workers):
+        """The first layer-norm call on a worker raises; the error surfaces only once
+        every other chunk has run both of its layer norms."""
+        rng = np.random.default_rng(3)
+        args = _encoder_args(rng, 4, 2, 2048)
+        x = rng.standard_normal((40, 8, 4))
+        parts = -(-40 // (T._CHUNK_FLOATS // (8 * 2048)))
+        fwd, lock, failed, calls = T._layer_norm_fwd, threading.Lock(), threading.Event(), []
+
+        def flaky(*a):
+            if threading.current_thread() is threading.main_thread():
+                assert failed.wait(10)  # hold the caller back until a worker has failed
+            else:
+                with lock:
+                    first = not failed.is_set()
+                    failed.set()
+                if first:
+                    raise RuntimeError("injected")
+                time.sleep(0.01)  # a slow chunk, still running if the caller did not wait
+            calls.append(1)
+            return fwd(*a)
+
+        monkeypatch.setattr(T, "_layer_norm_fwd", flaky)
+        monkeypatch.setattr(T, "_WORKERS", workers)
+        with T.no_grad(), pytest.raises(RuntimeError, match="injected"):
+            T.encoder_layer(Tensor(x), *args)
+        assert parts > 2 and len(calls) == 2 * (parts - 1)
+
+    def test_run_chunks_waits_for_every_started_call(self, monkeypatch):
+        """The caller fails at once and the worker later: the caller's error surfaces,
+        and only once the worker's call has returned."""
+        monkeypatch.setattr(T, "_WORKERS", 1)
+        both, finished = threading.Barrier(2, timeout=10), []
+
+        def fn(start):
+            both.wait()  # the caller and the worker each hold one start
+            if threading.current_thread() is threading.main_thread():
+                raise ValueError("caller")
+            time.sleep(0.05)
+            finished.append(start)
+            raise KeyError("worker")
+
+        with pytest.raises(ValueError, match="caller"):
+            T._run_chunks(fn, 2)
+        assert len(finished) == 1
+
+    def test_every_call_runs_once_under_contention(self, monkeypatch):
+        """Four workers on fewer cores, switching threads every microsecond: no index is
+        lost or taken twice from the shared queue."""
+        monkeypatch.setattr(T, "_WORKERS", 4)
+        calls, interval = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            T._run_chunks(calls.append, 2000)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(calls) == list(range(2000))
+
+    def test_forked_child_does_not_wait_on_the_parents_pool(self, monkeypatch):
+        """A fork copies the pool but not its threads: the child runs every chunk itself."""
+        monkeypatch.setattr(T, "_WORKERS", 1)
+        T._run_chunks(lambda i: None, 2)  # the pool is started in this process
+        child = multiprocessing.get_context("fork").Process(target=T._run_chunks, args=(int, 8))
+        child.start()
+        child.join(60)
+        alive = child.is_alive()
+        if alive:
+            child.kill()
+        assert not alive and child.exitcode == 0
+
+    def test_import_starts_no_thread(self):
+        """The pool starts on the first chunked call, not at import: set-up pays no thread and no logging import."""
+        code = ("import sys, threading, seizureformer\n"
+                "seizureformer.generate_patient(seizureformer.SynthConfig(seed=1, days=200))\n"
+                "assert 'concurrent.futures' not in sys.modules, 'concurrent.futures imported'\n"
+                "assert threading.active_count() == 1, threading.enumerate()\n")
+        src = str(Path(T.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

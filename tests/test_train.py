@@ -9,6 +9,7 @@ from seizureformer.data import DataError, WindowSample, samples_to_arrays
 from seizureformer.model import ModelConfig, SeizureFormer, weighted_bce
 from seizureformer.tensor import Tensor, zero_grad
 from seizureformer.kv import write_manifest
+from seizureformer import tensor as T
 from seizureformer import train
 from seizureformer.train import OptimizerState, TrainConfig, evaluate, optimizer_step, train_loop
 
@@ -233,6 +234,18 @@ class TestEvaluate:
             assert out.requires_grad
             recorded.append(out.data.reshape(-1))
         assert np.array(rep.scores).tobytes() == np.concatenate(recorded).tobytes()
+
+    @pytest.mark.parametrize("workers", [0, 1, 3])
+    def test_scores_same_for_any_worker_count(self, monkeypatch, workers):
+        """150 windows at default widths are 300 sequences, several chunks of the encoder's
+        no-grad pass: the scores are the recorded forward's bytes whichever thread runs each."""
+        model = SeizureFormer(ModelConfig(), np.random.default_rng(11))
+        samples = toy_samples(150, lookback=model.config.lookback, seed=11)
+        x, _ = samples_to_arrays(samples)
+        recorded = model.forward(x, training=False)
+        assert recorded.requires_grad
+        monkeypatch.setattr(T, "_WORKERS", workers)
+        assert np.array(evaluate(model, samples).scores).tobytes() == recorded.data.reshape(-1).tobytes()
 
     def test_forward_keeps_no_graph(self):
         model = tiny_model(seed=9)
