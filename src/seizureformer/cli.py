@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import os
 import platform
 import sys
 from dataclasses import dataclass, field
@@ -36,6 +35,7 @@ from .data import (
     zscore_normalize,
 )
 from .model import PIPELINE_KEYS, ModelConfig, SeizureFormer, model_from_checkpoint, save_checkpoint
+from .tensor import BLAS_THREADS
 from .kv import write_manifest
 from .train import TrainConfig, evaluate, train_loop
 
@@ -45,9 +45,6 @@ ABLATIONS = {
     "se": {"use_se": False},
     "all": {"use_cnn_embed": False, "use_cvt": False, "use_se": False},
 }
-
-# as this process started; checkpoint bytes depend on the BLAS thread count
-_BLAS_THREADS = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS") or "unset"
 
 BENCHMARK_MODELS = (
     "seizureformer",
@@ -130,7 +127,7 @@ def _pipeline(run_cfg: RunConfig, horizon: int) -> dict[str, object]:
 
 def _config_manifest(run_cfg: RunConfig) -> dict[str, object]:
     """What every manifest starts with: the BLAS thread count, the versions and the flat config."""
-    head = {"blas_threads": _BLAS_THREADS, "package_version": __version__, "numpy_version": np.__version__,
+    head = {"blas_threads": BLAS_THREADS, "package_version": __version__, "numpy_version": np.__version__,
             "python_version": platform.python_version()}
     return head | {f"config.{k}": getattr(o, k) for k, (o, _) in _flat_keys(run_cfg).items()}
 

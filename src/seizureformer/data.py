@@ -47,7 +47,11 @@ class DailyRecord:
     def __post_init__(self):
         for name in ("ab_ch1", "ab_ch2", "le_count"):
             value = getattr(self, name)
-            if not 0 <= value < 2**63:  # PatientSeries.counts is int64
+            try:  # counts become int64; `<= 2**63 - 1`, since a numpy bool compares only with int64 values
+                in_range = 0 <= value <= 2**63 - 1
+            except (TypeError, OverflowError):
+                in_range = False
+            if not in_range:
                 raise DataError(f"{name} must be non-negative and below 2**63, got {value} on {self.date}")
 
 

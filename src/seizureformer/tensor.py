@@ -34,14 +34,19 @@ Array = np.ndarray
 
 _CONV2D_CHUNK = 32  # batch slices per step of conv2d's kernel-grad sum
 _CHUNK_FLOATS = 2**16  # (rows, ffn) hidden floats per no-grad encoder chunk: 512 KB, well inside a 2 MB L2
-_WORKERS: int | None = None  # threads beside the caller for chunked work; None: one per other usable CPU
+_WORKERS: int | None = None  # pool threads beside the caller; None: see _workers()
+# as this process started, when the BLAS read it; bytes depend on the BLAS thread count
+BLAS_THREADS = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS") or "unset"
 _pool = None  # (size, ThreadPoolExecutor), started by the first call that has work for a worker
 _pool_lock = threading.Lock()
+_IN_FLIGHT = 2  # backward's pooled products left unfinished when the caller hands off another
 
 _AxesArg = int | Sequence[int] | None
 
 
 _recording: ContextVar[bool] = ContextVar("recording", default=True)
+# while backward walks with a pool: every leaf grad as (targets, grad or product, future or None)
+_deferred: ContextVar[list | None] = ContextVar("deferred", default=None)
 
 
 @contextmanager
@@ -117,7 +122,10 @@ class Tensor:
         """Populate ``.grad`` on every reachable tensor requiring gradients.
 
         The root must be a scalar produced by recorded operations.  Each node
-        is visited exactly once, in reverse topological order.
+        is visited exactly once, in reverse topological order.  With a pool
+        (``_workers()`` > 0), leaf-parameter products run on pool threads while
+        the walk goes on, and every leaf grad is summed after the walk, in walk
+        order, so the bytes never depend on the worker count.
         """
         if self.data.size != 1:
             raise ValueError("backward requires a scalar root")
@@ -145,9 +153,18 @@ class Tensor:
                     stack.append((parent, False))
 
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._vjp is not None:
-                node._vjp(node.grad)
+        queue: list = []
+        token = _deferred.set(queue) if _workers() > 0 else None
+        walked = False
+        try:
+            for node in reversed(order):
+                if node._vjp is not None:
+                    node._vjp(node.grad)
+            walked = True
+        finally:
+            if token is not None:
+                _deferred.reset(token)
+            _join(queue, walked)
         for node in order:
             if node.grad is not None and not np.all(np.isfinite(node.grad)):
                 raise FloatingPointError("backward produced non-finite gradients")
@@ -180,7 +197,75 @@ def _result(data: Array, parents: tuple[Tensor, ...], vjp: Callable[[Array], Non
 
 def _accum(t: Tensor, g: Array) -> None:
     if t.requires_grad:
-        t.grad = g if t.grad is None else t.grad + g
+        queue = _deferred.get()
+        if queue is not None and t._vjp is None:  # a leaf: summed at backward's join, in walk order
+            queue.append(((t,), g, None))
+        else:
+            t.grad = g if t.grad is None else t.grad + g
+
+
+def _accum_split(targets: Sequence[Tensor], g: Array) -> None:
+    for t, part in zip(targets, np.split(g, len(targets), axis=-1) if len(targets) > 1 else (g,)):
+        _accum(t, part)
+
+
+def _accum_product(targets: Sequence[Tensor], fn: Callable[..., Array], *args: Array) -> None:
+    """Accumulate ``fn(*args)`` into ``targets``, split evenly along its last axis when
+    there are several.  Inside ``backward`` with a pool, when every target is a leaf, it
+    runs on a pool thread while the walk goes on: the caller must not write any of
+    ``args`` from then on.  A non-leaf target needs its grad now, so it runs inline."""
+    if not any(t.requires_grad for t in targets):
+        return
+    queue = _deferred.get()
+    if queue is not None and all(t._vjp is None for t in targets):
+        _settle(queue)
+        job = [fn, *args]
+        queue.append((targets, job, _submit([lambda: _take(job)], _workers())[0]))
+    else:
+        _accum_split(targets, fn(*args))
+
+
+def _settle(queue: list) -> None:
+    """Leave at most ``_IN_FLIGHT`` queued products unfinished, waiting for the oldest others
+    or running them here if no pool thread has started them: a lagging pool would otherwise
+    keep every layer's (rows, ffn) gradient alive until the join."""
+    busy = [i for i, (_, _, future) in enumerate(queue) if future is not None and not future.done()]
+    for i in busy[: max(0, len(busy) - _IN_FLIGHT)]:
+        targets, job, future = queue[i]
+        if future.cancel():
+            queue[i] = (targets, _take(job), None)
+        else:
+            future.exception()  # waits; the join reads the result or the error
+
+
+def _take(job: list) -> Array:
+    """Run ``job`` = [fn, *args] and empty it, so its inputs are freed once the product is done, not at the join."""
+    fn, *args = job
+    job.clear()
+    return fn(*args)
+
+
+def _join(queue: list, walked: bool) -> None:
+    """Accumulate backward's queued leaf grads in submission order, then empty the queue.
+    A product no pool thread has started is cancelled and run here (a forked child's copy
+    of the pool has no threads).  After a failure, or a failed walk, nothing more runs or
+    accumulates; a product's error re-raises once every started product has finished,
+    and only if the walk, whose own error comes first, succeeded."""
+    run, failed = walked, None
+    for targets, work, future in queue:
+        try:
+            if future is not None and future.cancel():  # not started, or lost to a fork
+                work = _take(work) if run else None
+            elif future is not None:
+                work = future.result()
+        except Exception as exc:
+            run, failed = False, failed or exc
+        else:
+            if run:
+                _accum_split(targets, work)
+    queue.clear()
+    if walked and failed is not None:
+        raise failed
 
 
 def _sum_to_shape(g: Array, shape: tuple[int, ...]) -> Array:
@@ -397,15 +482,36 @@ def _layer_norm_vjp(g: Array, xhat: Array, inv: Array, gamma: Tensor, beta: Tens
     return dxhat
 
 
-def _run_chunks(fn: Callable[[int], None], count: int) -> None:
-    """Call ``fn(i)`` for i in range(count), shared between the calling thread and up
-    to one pool thread per other CPU in the affinity mask (``_WORKERS`` when set), never
-    more threads than calls.  Returns once every started call has finished, so no worker
-    still writes; then the first error re-raises, the caller's own first.  Workers call
-    no traced op: the tracer keeps one span stack."""
-    global _pool
+def _workers() -> int:
+    """Pool threads beside the caller: ``_WORKERS`` when set; else, when the BLAS runs one
+    thread, one per other CPU in the affinity mask.  Left at its default, the BLAS runs one
+    thread per CPU already, and pool threads calling it only contend for the cores."""
+    if _WORKERS is not None:
+        return _WORKERS
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(cpus - 1 if _WORKERS is None else _WORKERS, count - 1)
+    return cpus - 1 if BLAS_THREADS == "1" else 0
+
+
+def _submit(fns: Sequence[Callable[[], object]], workers: int) -> list:
+    """Submit each call to the one shared pool, started (or grown) to ``workers`` threads
+    first; returns their futures.  Workers call no traced op: the tracer keeps one span stack."""
+    global _pool
+    with _pool_lock:  # a resize shuts the old pool down: nobody may submit to it meanwhile
+        if _pool is None or _pool[0] < workers:
+            from concurrent.futures import ThreadPoolExecutor  # not at import: it loads logging (~11 ms)
+
+            if _pool is not None:
+                _pool[1].shutdown()
+            _pool = (workers, ThreadPoolExecutor(workers, thread_name_prefix="encoder"))
+        return [_pool[1].submit(fn) for fn in fns]
+
+
+def _run_chunks(fn: Callable[[int], None], count: int) -> None:
+    """Call ``fn(i)`` for i in range(count), shared between the calling thread and up to
+    ``_workers()`` pool threads, never more threads than calls.  Returns once every
+    started call has finished, so no worker still writes; then the first error
+    re-raises, the caller's own first."""
+    workers = min(_workers(), count - 1)
     todo, lock = iter(range(count)), threading.Lock()
 
     def drain() -> None:
@@ -416,16 +522,7 @@ def _run_chunks(fn: Callable[[int], None], count: int) -> None:
                 return
             fn(i)
 
-    futures = []
-    if workers > 0:
-        with _pool_lock:
-            if _pool is None or _pool[0] < workers:
-                from concurrent.futures import ThreadPoolExecutor  # not at import: it loads logging (~11 ms)
-
-                if _pool is not None:
-                    _pool[1].shutdown()
-                _pool = (workers, ThreadPoolExecutor(workers, thread_name_prefix="encoder"))
-            futures = [_pool[1].submit(drain) for _ in range(workers)]
+    futures = _submit([drain] * workers, workers) if workers > 0 else []
     try:
         drain()
     finally:  # a worker not yet started (or lost to a fork) has nothing left; wait for the others
@@ -447,10 +544,11 @@ def encoder_layer(
     the heads run batched as (N, h, p, dk).  ``ffn`` is (w1, b1, w2, b2).  Keep-masks
     are drawn as ``dropout`` draws them, attention first; each head's (N, p, p)
     softmax goes to ``attn_sink``.  When no graph is recorded, the forward runs in
-    even chunks of at most ``_CHUNK_FLOATS // (p * ffn_dim)`` sequences on every CPU
-    the process may use (``_run_chunks``).  Rows are independent and the bounds follow
-    from the shapes, so the bytes never depend on the worker count; against one pass
-    over all rows they differ only where the BLAS picks its GEMM kernel by row count."""
+    even chunks of at most ``_CHUNK_FLOATS // (p * ffn_dim)`` sequences, shared with
+    the pool (``_run_chunks``).  Rows are independent and the bounds follow from the
+    shapes, so the bytes never depend on the worker count; against one pass over all
+    rows they differ only where the BLAS picks its GEMM kernel by row count.  In the
+    backward, the parameter products go to the pool (``_accum_product``)."""
     n, p, d = x.data.shape
     h, dk = len(heads), d // len(heads)
     w1, b1, w2, b2 = ffn
@@ -508,19 +606,19 @@ def encoder_layer(
     if attn_sink is not None:
         attn_sink.extend(Tensor(attn[:, j]) for j in range(h))
 
-    def vjp(g: Array) -> None:
+    def vjp(g: Array) -> None:  # parameter products may run on a pool thread: their inputs are never written after
         g = g.reshape(-1, d)
         gff = g if keep2 is None else g * keep2
-        _accum(b2, gff.sum(axis=0))
-        _accum(w2, hidden.T @ gff)
+        _accum_product((b2,), np.sum, gff, 0)
+        _accum_product((w2,), np.matmul, hidden.T, gff)
         ghid = gff @ w2.data.T
         ghid *= hidden > 0
-        _accum(b1, ghid.sum(axis=0))
-        _accum(w1, n2.T @ ghid)
+        _accum_product((b1,), np.sum, ghid, 0)
+        _accum_product((w1,), np.matmul, n2.T, ghid)
         gx1 = _layer_norm_vjp(ghid @ w1.data.T, xhat2, inv2, *ln2)
         gx1 += g
         gatt = gx1 if keep1 is None else gx1 * keep1
-        _accum(wo, ctx.T @ gatt)
+        _accum_product((wo,), np.matmul, ctx.T, gatt)
         gctx = (gatt @ wo.data.T).reshape(n, p, h, dk).transpose(0, 2, 1, 3)
         gqkv = np.empty((n, p, 3, h, dk))
         gq, gk, gv = gqkv.transpose(2, 0, 3, 1, 4)
@@ -532,10 +630,10 @@ def encoder_layer(
         np.matmul(gs, k, out=gq)
         np.matmul(gs.swapaxes(-1, -2), q, out=gk)
         gqkv = gqkv.reshape(-1, 3 * d)
-        for w, gw in zip(weights, np.split(n1.T @ gqkv, 3 * h, axis=1)):
-            _accum(w, gw)
-        gx1 += _layer_norm_vjp(gqkv @ wqkv.T, xhat1, inv1, *ln1)  # gatt is spent, so gx1 is free
-        _accum(x, gx1.reshape(x.data.shape))
+        _accum_product(weights, np.matmul, n1.T, gqkv)
+        gx = _layer_norm_vjp(gqkv @ wqkv.T, xhat1, inv1, *ln1)
+        gx += gx1  # not gx1 += gx: gx1 may be gatt, still read by the wo product
+        _accum(x, gx.reshape(x.data.shape))
 
     return _result(out.reshape(n, p, d), parents, vjp)  # vjp is kept only on the recorded branch
 
@@ -583,7 +681,10 @@ def _keep_mask(shape: tuple[int, ...], rate: float, training: bool, rng: np.rand
         return None
     if rng is None:
         raise ValueError("training-mode dropout needs an explicit rng")
-    return (rng.random(shape) >= rate) / (1.0 - rate)
+    keep = rng.random(shape)
+    np.greater_equal(keep, rate, out=keep)
+    keep *= 1.0 / (1.0 - rate)
+    return keep
 
 
 def dropout(a: Tensor, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:

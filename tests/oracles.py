@@ -15,8 +15,10 @@ fused ``encoder_layer``), the per-day ``label_days`` loop, the per-anchor
 ``make_windows`` loop and the list-based ``split_chronological`` (replaced
 by array ops on a ``WindowSet``), the pairwise gap loop over records
 (replaced by one diff over ``PatientSeries.dates``), the scalar Poisson
-inverse-CDF sampler (replaced by the masked array recurrence), and the
-tie-grouping loops of ``roc_auc`` / ``pr_auc``.  The baseline objective
+inverse-CDF sampler (replaced by the masked array recurrence), the
+dropout keep-mask as one compare-then-divide expression (replaced by draws
+compared and scaled in place), and the tie-grouping loops of ``roc_auc`` /
+``pr_auc``.  The baseline objective
 gradients live here too, since only tests evaluate them.
 """
 
@@ -223,6 +225,11 @@ def softmax(a: T.Tensor) -> T.Tensor:
             T._accum(a, data * (g - inner))
 
     return T._result(data, (a,), vjp)
+
+
+def keep_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Training-mode inverted-dropout multipliers as ``tensor._keep_mask`` drew them."""
+    return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
 def per_head_mhsa_encoder(x: T.Tensor, cfg, params: dict) -> T.Tensor:

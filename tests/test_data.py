@@ -81,8 +81,9 @@ class TestParseCsv:
         with pytest.raises(DataError, match=r"p\.csv:3: le_count must be non-negative and below 2\*\*63"):
             parse_csv(f)
 
-    @pytest.mark.parametrize("count", [2**63, -1])
+    @pytest.mark.parametrize("count", [2**63, -1, np.uint64(2**64 - 1), float("nan"), None, "3"])
     def test_record_count_must_fit_int64(self, count):
+        """A count that cannot pass the range check, whatever its type, is a DataError."""
         with pytest.raises(DataError, match=rf"le_count must be non-negative and below 2\*\*63, got {count}"):
             DailyRecord(DAY0, 1, 2, count)
 
@@ -174,7 +175,8 @@ class TestSeriesArrays:
             PatientSeries("p", records)
 
     @pytest.mark.parametrize("kind, other", [(int, int), (np.int64, int), (np.int32, int), (np.uint8, int),
-                                             (bool, int), (np.uint64, np.int64)])  # the last pair unites as float
+                                             (bool, int), pytest.param(np.bool_, int, id="np_bool-int"),
+                                             (np.uint64, np.int64)])  # the last pair unites as float
     def test_integer_counts_of_any_type(self, kind, other):
         counts = [(3, 1, 0), (0, 2, 1), (1, 1, 1)]
         series = PatientSeries("p", [DailyRecord(DAY0 + datetime.timedelta(days=i), kind(a), other(b), kind(c))

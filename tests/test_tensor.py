@@ -20,6 +20,7 @@ from seizureformer.tensor import Tensor, _accum, _result, grad_check
 from oracles import (
     broadcast_matmul,
     composed_layer_norm,
+    keep_mask,
     layer_norm,
     naive_conv1d,
     naive_conv2d,
@@ -376,6 +377,16 @@ class TestDropout:
         with pytest.raises(ValueError, match="rate"):
             T.dropout(Tensor([1.0]), 1.0, training=True, rng=np.random.default_rng(0))
 
+    @given(shape=st.sampled_from([(1792, 32), (3584, 128), (7,), (3, 5, 2)]),
+           rate=st.one_of(st.sampled_from([0.2, 0.5, 0.9]), st.floats(1e-6, 0.999)), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_keep_mask_matches_compare_then_divide(self, shape, rate, seed):
+        """Drawn, compared and scaled in place: the same bytes as the one-expression
+        mask, and the generator left at the same state."""
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert T._keep_mask(shape, rate, True, rng).tobytes() == keep_mask(shape, rate, ref_rng).tobytes()
+        assert rng.random() == ref_rng.random()
+
 
 class TestBackward:
     def test_sum_gradient(self):
@@ -705,3 +716,225 @@ class TestChunkedEncoder:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+
+def _leaves(value):
+    """Every tensor in a nest of tuples and lists, in order."""
+    if isinstance(value, Tensor):
+        return [value]
+    if isinstance(value, (list, tuple)):
+        return [t for v in value for t in _leaves(v)]
+    return []
+
+
+def _encoder_loss(x, args, training=False, seed=0):
+    out = T.encoder_layer(x, *args, training, np.random.default_rng(seed))
+    return T.tsum(T.mul(out, out))
+
+
+def _grad_bytes(workers, build, leaves):
+    """Each leaf's grad bytes after ``build().backward()`` with ``workers`` pool threads."""
+    T.zero_grad(dict(enumerate(leaves)))
+    with mock.patch.object(T, "_WORKERS", workers):
+        build().backward()
+    return [t.grad.tobytes() for t in leaves]
+
+
+def _backward_in_child():
+    rng = np.random.default_rng(2)
+    args = _encoder_args(rng, 8, 2, 16)
+    _encoder_loss(Tensor(rng.standard_normal((3, 4, 8))), args, True).backward()
+    assert all(t.grad is not None for t in _leaves(args))
+
+
+class TestPooledBackward:
+    """Inside ``backward``, the encoder's leaf-parameter products run on pool threads
+    while the caller walks on, and every leaf grad is summed at the join in walk order."""
+
+    @given(heads=st.sampled_from([1, 2]), p=st.integers(1, 6), n=st.integers(1, 5), rate=st.sampled_from([0.0, 0.3]),
+           training=st.booleans(), workers=st.integers(1, 3), seed=st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_grads_same_bytes_for_any_worker_count(self, heads, p, n, rate, training, workers, seed):
+        """Dropout off (rate 0 or eval) is the case where the wo product reads the very
+        array the input chain goes on from."""
+        rng = np.random.default_rng(seed)
+        args = _encoder_args(rng, 8, heads, 24)[:-1] + (rate,)
+        x = Tensor(rng.standard_normal((n, p, 8)), requires_grad=True)
+        leaves = [x, *_leaves(args)]
+
+        def build():
+            return _encoder_loss(x, args, training, seed)
+
+        assert _grad_bytes(workers, build, leaves) == _grad_bytes(0, build, leaves)
+
+    def test_same_bytes_under_contention(self, monkeypatch):
+        """Four pool threads on fewer cores, switching every microsecond: each product
+        runs once, on a worker or (cancelled) on the caller, and sums in walk order."""
+        rng = np.random.default_rng(8)
+        args = _encoder_args(rng, 8, 2, 24)
+        x = Tensor(rng.standard_normal((4, 5, 8)))
+        leaves = _leaves(args)
+
+        def build():
+            rng_d = np.random.default_rng(3)
+            h = x
+            for _ in range(3):
+                h = T.encoder_layer(h, *args, True, rng_d)
+            return T.tsum(T.mul(h, h))
+
+        serial, interval = _grad_bytes(0, build, leaves), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [_grad_bytes(4, build, leaves) for _ in range(20)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(run == serial for run in runs)
+
+    def test_stalled_pool_holds_few_products(self, monkeypatch):
+        """Futures no thread ever starts, as in a stalled pool: the caller runs the oldest
+        itself, so at most ``_IN_FLIGHT`` products (plus the new one) are left unfinished."""
+        from concurrent.futures import Future
+
+        rng = np.random.default_rng(10)
+        args = _encoder_args(rng, 8, 2, 24)
+        x = Tensor(rng.standard_normal((4, 5, 8)))
+        leaves = _leaves(args)
+
+        def build():
+            h = x
+            for _ in range(3):
+                h = T.encoder_layer(h, *args)
+            return T.tsum(T.mul(h, h))
+
+        serial, futures, unfinished = _grad_bytes(0, build, leaves), [], []
+        real = T._accum_product
+
+        def stalled(fns, workers):
+            futures.extend(Future() for _ in fns)
+            return futures[-len(fns):]
+
+        def counted(*a):
+            real(*a)
+            unfinished.append(sum(not f.done() for f in futures))
+
+        monkeypatch.setattr(T, "_submit", stalled)
+        monkeypatch.setattr(T, "_accum_product", counted)
+        assert _grad_bytes(1, build, leaves) == serial
+        assert len(futures) == 18 and max(unfinished) == T._IN_FLIGHT + 1
+
+    def test_shared_leaf_sums_in_walk_order(self):
+        """Two layers share every weight; wo and b2 also act on the input and w1 on the
+        output, so their inline terms come after and before the pooled ones in walk
+        order.  Three or more terms per leaf round differently in another order."""
+        rng = np.random.default_rng(9)
+        args = _encoder_args(rng, 8, 2, 24)
+        wo, (w1, _, _, b2) = args[2], args[4]
+        x = Tensor(rng.standard_normal((4, 5, 8)))
+        leaves = _leaves(args)
+
+        def build():
+            rng_d = np.random.default_rng(1)
+            h = T.encoder_layer(T.matmul(x * b2, wo), *args, True, rng_d)
+            h = T.encoder_layer(h, *args, True, rng_d)
+            return T.tsum(T.mul(h, h)) + T.tsum(T.matmul(h, w1))
+
+        serial = _grad_bytes(0, build, leaves)
+        for workers in (1, 3):
+            assert _grad_bytes(workers, build, leaves) == serial
+
+    @pytest.mark.parametrize("which", ["w1", "wq"])
+    def test_non_leaf_weight_gradcheck(self, monkeypatch, which):
+        """An encoder weight built by an op from the checked leaf needs its grad during
+        the walk, so its product runs inline while the leaves' run on the pool."""
+        monkeypatch.setattr(T, "_WORKERS", 1)
+        rng = np.random.default_rng(6)
+        args = _encoder_args(rng, 4, 2, 6)[:-1] + (0.0,)
+        x = Tensor(rng.standard_normal((2, 3, 4)))
+        base = args[4][0] if which == "w1" else args[1][0][0]
+
+        def f(leaf):
+            w = T.mul(leaf, Tensor(1.5))
+            if which == "w1":
+                swapped = args[:4] + ((w, *args[4][1:]),) + args[5:]
+            else:
+                swapped = (args[0], [(w, *args[1][0][1:]), *args[1][1:]]) + args[2:]
+            return _encoder_loss(x, swapped)
+
+        assert grad_check(f, Tensor(base.data)) < 1e-6
+
+    def test_worker_error_surfaces_after_the_join(self, monkeypatch):
+        """The first product raises on a pool thread and the second is still running:
+        backward raises only after it has finished, sums nothing, and the next backward
+        gives the serial bytes."""
+        monkeypatch.setattr(T, "_WORKERS", 1)
+        rng = np.random.default_rng(5)
+        args = _encoder_args(rng, 8, 2, 16)
+        x = Tensor(rng.standard_normal((3, 4, 8)))
+        leaves = _leaves(args)
+        real, started, finished, calls = T._accum_product, threading.Event(), [], []
+
+        def boom(*a):
+            started.set()
+            raise RuntimeError("injected")
+
+        def slow(*a):
+            started.set()
+            time.sleep(0.05)
+            finished.append(1)
+            return calls[1][0](*a)
+
+        def flaky(targets, fn, *a):
+            calls.append((fn,))
+            started.clear()
+            real(targets, {1: boom, 2: slow}.get(len(calls), fn), *a)
+            if len(calls) <= 2:
+                assert started.wait(10)  # a pool thread has taken it
+
+        monkeypatch.setattr(T, "_accum_product", flaky)
+        with pytest.raises(RuntimeError, match="injected"):
+            _encoder_loss(x, args).backward()
+        assert finished == [1]
+        assert T._deferred.get() is None
+        assert all(t.grad is None for t in leaves)
+
+        monkeypatch.setattr(T, "_accum_product", real)
+        expected = _grad_bytes(0, lambda: _encoder_loss(x, args), leaves)
+        assert _grad_bytes(1, lambda: _encoder_loss(x, args), leaves) == expected
+
+    def test_walk_error_waits_for_started_products(self, monkeypatch):
+        """An op below the encoder fails in its VJP after the encoder's products were
+        queued: that error surfaces, and no leaf grad is summed."""
+        monkeypatch.setattr(T, "_WORKERS", 1)
+        rng = np.random.default_rng(7)
+        args = _encoder_args(rng, 8, 2, 16)
+        src = Tensor(rng.standard_normal((3, 4, 8)), requires_grad=True)
+
+        def fail(g):
+            raise KeyError("walk")
+
+        x = T._result(src.data.copy(), (src,), fail)
+        with pytest.raises(KeyError, match="walk"):
+            _encoder_loss(x, args).backward()
+        assert T._deferred.get() is None
+        assert all(t.grad is None for t in [src, *_leaves(args)])
+
+    @pytest.mark.parametrize("blas, workers", [("1", 3), ("unset", 0), ("4", 0)])
+    def test_pool_only_beside_a_one_thread_blas(self, monkeypatch, blas, workers):
+        """A BLAS that runs a thread per CPU already keeps every core busy; ``_WORKERS`` overrides."""
+        monkeypatch.setattr(T, "BLAS_THREADS", blas)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        assert T._workers() == workers
+        monkeypatch.setattr(T, "_WORKERS", 2)
+        assert T._workers() == 2
+
+    def test_forked_child_runs_its_own_products(self, monkeypatch):
+        """A fork copies the pool but not its threads: the join runs every queued product itself."""
+        monkeypatch.setattr(T, "_WORKERS", 1)
+        T._run_chunks(lambda i: None, 2)  # the pool is started in this process
+        child = multiprocessing.get_context("fork").Process(target=_backward_in_child)
+        child.start()
+        child.join(60)
+        alive = child.is_alive()
+        if alive:
+            child.kill()
+        assert not alive and child.exitcode == 0

@@ -188,6 +188,22 @@ class TestTrainLoop:
         train_loop(model, toy_samples(40), toy_samples(12, seed=1), TrainConfig(max_epochs=2, batch_size=8))
         assert len(roots) == 10
 
+    @pytest.mark.parametrize("cfg", [ModelConfig(), ModelConfig.reference_preset(encoder_layers=2),
+                                     ModelConfig(dropout_rate=0.0)], ids=["default", "reference", "no_dropout"])
+    def test_same_bytes_for_any_worker_count(self, monkeypatch, cfg):
+        """The backward's parameter products run on pool threads, and every leaf grad is
+        summed in walk order: params and history are the serial run's bytes.  At
+        ``dropout_rate=0`` the wo product reads the array the input chain goes on from."""
+        train, val = toy_samples(48, lookback=cfg.lookback, seed=12), toy_samples(16, lookback=cfg.lookback, seed=13)
+        runs = []
+        for workers in (0, 1, 3):
+            monkeypatch.setattr(T, "_WORKERS", workers)
+            params, history = train_loop(SeizureFormer(cfg, np.random.default_rng(12)), train, val,
+                                         TrainConfig(seed=4, max_epochs=2, batch_size=16))
+            runs.append(({name: t.data.tobytes() for name, t in params.items()},
+                         np.array(history.train_loss + history.val_roc_auc).tobytes()))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
     def test_stop_reason_max_epochs(self):
         model = tiny_model(seed=6)
         _, history = train_loop(
