@@ -34,6 +34,7 @@ Array = np.ndarray
 
 _CONV2D_CHUNK = 32  # batch slices per step of conv2d's kernel-grad sum
 _CHUNK_FLOATS = 2**16  # (rows, ffn) hidden floats per no-grad encoder chunk: 512 KB, well inside a 2 MB L2
+_SAVED_CHUNK_FLOATS = 2**20  # per recorded chunk (8 MB): one at default widths and batch 64, as fast as 2**18-2**19
 _WORKERS: int | None = None  # pool threads beside the caller; None: see _workers()
 # as this process started, when the BLAS read it; bytes depend on the BLAS thread count
 BLAS_THREADS = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS") or "unset"
@@ -65,7 +66,7 @@ class Tensor:
     ``requires_grad=True`` marks a leaf whose gradient should be populated by
     ``backward()``; tensors produced by operations inherit the flag from their
     inputs.  Graphs are single-use: rerunning ``backward()`` on the same root
-    without rebuilding the graph is an error.
+    without rebuilding the graph is an error, even after a failed one.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_prev", "_vjp", "_backward_done", "__weakref__")
@@ -133,6 +134,7 @@ class Tensor:
             raise RuntimeError("backward already ran for this graph; rebuild it first")
         if not self.requires_grad:
             raise ValueError("root does not depend on any tensor requiring gradients")
+        self._backward_done = True  # before the walk: a retry after an error would sum its grads twice
 
         # Iterative postorder; nodes are marked visited at expansion (not
         # discovery) so shared subgraphs still topo-sort correctly.
@@ -168,7 +170,6 @@ class Tensor:
         for node in order:
             if node.grad is not None and not np.all(np.isfinite(node.grad)):
                 raise FloatingPointError("backward produced non-finite gradients")
-        self._backward_done = True
 
 
 def _lift(value) -> Tensor:
@@ -453,13 +454,16 @@ def relu(a: Tensor) -> Tensor:
     return _result(data, (a,), vjp)
 
 
-def _layer_norm_fwd(x: Array, gamma: Array, beta: Array, eps: float) -> tuple[Array, Array, Array]:
-    """(xhat * gamma + beta, xhat, inv): xhat = (x - mean) * inv over the last axis."""
-    # in-place updates on fresh arrays: each new full-size temporary costs page faults
-    xhat = x - x.mean(axis=-1, keepdims=True)
-    inv = np.power((xhat * xhat).mean(axis=-1, keepdims=True) + eps, -0.5)
+def _layer_norm_fwd(x: Array, gamma: Array, beta: Array, eps: float, out: Array | None = None,
+                    xhat: Array | None = None, inv: Array | None = None) -> tuple[Array, Array, Array]:
+    """(xhat * gamma + beta, xhat, inv): xhat = (x - mean) * inv over the last axis,
+    each written into the given array, or a fresh one when it is None."""
+    # in-place updates: each new full-size temporary costs page faults
+    xhat = np.subtract(x, x.mean(axis=-1, keepdims=True), out=xhat)
+    out = np.multiply(xhat, xhat, out=out)  # the squares, in the result's space
+    inv = np.power(out.mean(axis=-1, keepdims=True) + eps, -0.5, out=inv)
     xhat *= inv
-    out = xhat * gamma
+    np.multiply(xhat, gamma, out=out)
     out += beta
     return out, xhat, inv
 
@@ -543,12 +547,13 @@ def encoder_layer(
     ``heads`` holds each head's (wq, wk, wv), packed per call into one (d, 3d) GEMM;
     the heads run batched as (N, h, p, dk).  ``ffn`` is (w1, b1, w2, b2).  Keep-masks
     are drawn as ``dropout`` draws them, attention first; each head's (N, p, p)
-    softmax goes to ``attn_sink``.  When no graph is recorded, the forward runs in
-    even chunks of at most ``_CHUNK_FLOATS // (p * ffn_dim)`` sequences, shared with
-    the pool (``_run_chunks``).  Rows are independent and the bounds follow from the
-    shapes, so the bytes never depend on the worker count; against one pass over all
-    rows they differ only where the BLAS picks its GEMM kernel by row count.  In the
-    backward, the parameter products go to the pool (``_accum_product``)."""
+    softmax goes to ``attn_sink``.  The forward runs in even chunks of at most
+    ``_CHUNK_FLOATS // (p * ffn_dim)`` sequences, ``_SAVED_CHUNK_FLOATS`` when a graph
+    is recorded, shared with the pool (``_run_chunks``); a recorded chunk writes its
+    rows of each activation the VJP reads in place.  Rows are independent and the
+    bounds follow from the shapes, so the bytes never depend on the worker count;
+    against one pass over all rows they differ only where the BLAS picks its GEMM
+    kernel by row count.  In the backward, the parameter products go to the pool."""
     n, p, d = x.data.shape
     h, dk = len(heads), d // len(heads)
     w1, b1, w2, b2 = ffn
@@ -557,57 +562,58 @@ def encoder_layer(
     scale = 1.0 / np.sqrt(dk)
     parents = (x, *ln1, *weights, wo, *ln2, *ffn)
     keep1, keep2 = (_keep_mask((n * p, d), dropout_rate, training, rng) for _ in range(2))
+    recorded = _recording.get() and any(t.requires_grad for t in parents)
+    # no-grad chunks keep their (rows, ffn) hidden inside L2; nothing reduces over rows
+    parts = -(-n // max(1, (_SAVED_CHUNK_FLOATS if recorded else _CHUNK_FLOATS) // (p * w1.data.shape[1])))
+    bounds = [n * i // parts for i in range(parts + 1)]  # even chunks: no lone row takes numpy's vector path
+    # what the VJP reads, full-size; unrecorded, each chunk makes its own rows
+    n1, xhat1, inv1, qkv, ctx, n2, xhat2, inv2, hidden = (
+        np.empty((n * p, width)) if recorded else None for width in (d, d, 1, 3 * d, d, d, d, 1, w1.data.shape[1]))
+    attn = np.empty((n, h, p, p)) if recorded or attn_sink is not None else None
     out = np.empty((n * p, d))
 
-    def fwd(lo: int, hi: int) -> tuple[Array, ...]:
-        """The forward over sequences [lo, hi): writes their rows of ``out`` and returns what the VJP reads."""
+    def chunk(i: int) -> None:
+        """The forward over sequences [lo, hi): writes their rows of ``out`` and of each saved activation."""
+        lo, hi = bounds[i], bounds[i + 1]
         rows = slice(lo * p, hi * p)
+
+        def at(a: Array | None) -> Array | None:  # this chunk's rows of a saved activation
+            return None if a is None else a[rows]
+
         xs = x.data[lo:hi].reshape(-1, d)
-        n1, xhat1, inv1 = _layer_norm_fwd(xs, ln1[0].data, ln1[1].data, eps)
-        q, k, v = (n1 @ wqkv).reshape(-1, p, 3, h, dk).transpose(2, 0, 3, 1, 4)
-        attn = np.matmul(q, k.swapaxes(-1, -2))  # (n, h, p, p); the softmax runs in place
-        attn *= scale
-        amax = attn[..., :1].copy()  # row max as p-1 elementwise maxima; numpy's short-axis max is slow
+        normed = _layer_norm_fwd(xs, ln1[0].data, ln1[1].data, eps, at(n1), at(xhat1), at(inv1))[0]
+        q, k, v = np.matmul(normed, wqkv, out=at(qkv)).reshape(-1, p, 3, h, dk).transpose(2, 0, 3, 1, 4)
+        s = np.matmul(q, k.swapaxes(-1, -2), out=None if attn is None else attn[lo:hi])  # the softmax runs in place
+        s *= scale
+        amax = s[..., :1].copy()  # row max as p-1 elementwise maxima; numpy's short-axis max is slow
         for j in range(1, p):
-            np.maximum(amax, attn[..., j : j + 1], out=amax)
-        attn -= amax
-        np.exp(attn, out=attn)
-        attn /= attn.sum(axis=-1, keepdims=True)
-        ctx = np.matmul(attn, v).transpose(0, 2, 1, 3).reshape(-1, d)
-        x1 = ctx @ wo.data
+            np.maximum(amax, s[..., j : j + 1], out=amax)
+        s -= amax
+        np.exp(s, out=s)
+        s /= s.sum(axis=-1, keepdims=True)
+        c = np.empty(xs.shape) if ctx is None else ctx[rows]
+        np.matmul(s, v, out=c.reshape(-1, p, h, dk).transpose(0, 2, 1, 3))  # the heads side by side
+        x1 = c @ wo.data
         if keep1 is not None:
             x1 *= keep1[rows]
         x1 += xs
-        n2, xhat2, inv2 = _layer_norm_fwd(x1, ln2[0].data, ln2[1].data, eps)
-        hidden = n2 @ w1.data
-        hidden += b1.data
-        np.maximum(hidden, 0.0, out=hidden)
-        y = np.matmul(hidden, w2.data, out=out[rows])
+        normed = _layer_norm_fwd(x1, ln2[0].data, ln2[1].data, eps, at(n2), at(xhat2), at(inv2))[0]
+        hid = np.matmul(normed, w1.data, out=at(hidden))
+        hid += b1.data
+        np.maximum(hid, 0.0, out=hid)
+        y = np.matmul(hid, w2.data, out=out[rows])
         y += b2.data
         if keep2 is not None:
             y *= keep2[rows]
         y += x1
-        return n1, xhat1, inv1, q, k, v, attn, ctx, n2, xhat2, inv2, hidden
 
-    if _recording.get() and any(t.requires_grad for t in parents):
-        n1, xhat1, inv1, q, k, v, attn, ctx, n2, xhat2, inv2, hidden = fwd(0, n)
-    else:  # each chunk's (rows, ffn) hidden stays inside L2; nothing reduces over rows
-        parts = -(-n // max(1, _CHUNK_FLOATS // (p * w1.data.shape[1])))
-        bounds = [n * i // parts for i in range(parts + 1)]  # even chunks: no lone row takes numpy's vector path
-        attn = None if attn_sink is None else np.empty((n, h, p, p))
-
-        def chunk(i: int) -> None:
-            lo, hi = bounds[i], bounds[i + 1]
-            maps = fwd(lo, hi)[6]
-            if attn is not None:
-                attn[lo:hi] = maps
-
-        _run_chunks(chunk, parts)
+    _run_chunks(chunk, parts)
     if attn_sink is not None:
         attn_sink.extend(Tensor(attn[:, j]) for j in range(h))
 
     def vjp(g: Array) -> None:  # parameter products may run on a pool thread: their inputs are never written after
         g = g.reshape(-1, d)
+        q, k, v = qkv.reshape(n, p, 3, h, dk).transpose(2, 0, 3, 1, 4)
         gff = g if keep2 is None else g * keep2
         _accum_product((b2,), np.sum, gff, 0)
         _accum_product((w2,), np.matmul, hidden.T, gff)
@@ -635,7 +641,7 @@ def encoder_layer(
         gx += gx1  # not gx1 += gx: gx1 may be gatt, still read by the wo product
         _accum(x, gx.reshape(x.data.shape))
 
-    return _result(out.reshape(n, p, d), parents, vjp)  # vjp is kept only on the recorded branch
+    return _result(out.reshape(n, p, d), parents, vjp)  # vjp is kept only when recorded
 
 
 def log(a: Tensor) -> Tensor:

@@ -11,8 +11,9 @@ over the fused helpers the encoder uses) and a composed ``layer_norm`` built
 from the package's primitive ops, the broadcast ``matmul`` (no weight fold,
 no fused bias) with the encoder built from it and ``transpose_last2``, the
 ``softmax`` op and the graph-level encoder built from it (replaced by the
-fused ``encoder_layer``), the per-day ``label_days`` loop, the per-anchor
-``make_windows`` loop and the list-based ``split_chronological`` (replaced
+fused ``encoder_layer``), the recorded ``encoder_layer`` as one pass over
+all rows (replaced by row chunks shared with the pool), the per-day
+``label_days`` loop, the per-anchor ``make_windows`` loop and the list-based ``split_chronological`` (replaced
 by array ops on a ``WindowSet``), the pairwise gap loop over records
 (replaced by one diff over ``PatientSeries.dates``), the scalar Poisson
 inverse-CDF sampler (replaced by the masked array recurrence), the
@@ -277,6 +278,80 @@ def graph_mhsa_encoder(x: T.Tensor, cfg, params: dict, training=False, rng=None,
         ff = T.matmul(hidden, params[f"{base}.ffn.w2"], params[f"{base}.ffn.b2"])
         x = x + T.dropout(ff, cfg.dropout_rate, training, rng)
     return x
+
+
+def one_shot_encoder_layer(x: T.Tensor, ln1, heads, wo: T.Tensor, ln2, ffn, eps: float, dropout_rate: float,
+                           training: bool = False, rng=None, attn_sink=None) -> T.Tensor:
+    """The recorded ``encoder_layer`` as the package had it before its training forward
+    ran in row chunks: one forward pass over all rows, then the same closed-form VJP."""
+    n, p, d = x.data.shape
+    h, dk = len(heads), d // len(heads)
+    w1, b1, w2, b2 = ffn
+    weights = [w for group in zip(*heads) for w in group]  # every wq, then every wk, then every wv
+    wqkv = np.concatenate([w.data for w in weights], axis=1)
+    scale = 1.0 / np.sqrt(dk)
+    parents = (x, *ln1, *weights, wo, *ln2, *ffn)
+    keep1, keep2 = (T._keep_mask((n * p, d), dropout_rate, training, rng) for _ in range(2))
+    out = np.empty((n * p, d))
+
+    xs = x.data.reshape(-1, d)
+    n1, xhat1, inv1 = T._layer_norm_fwd(xs, ln1[0].data, ln1[1].data, eps)
+    q, k, v = (n1 @ wqkv).reshape(-1, p, 3, h, dk).transpose(2, 0, 3, 1, 4)
+    attn = np.matmul(q, k.swapaxes(-1, -2))  # (n, h, p, p); the softmax runs in place
+    attn *= scale
+    amax = attn[..., :1].copy()  # row max as p-1 elementwise maxima; numpy's short-axis max is slow
+    for j in range(1, p):
+        np.maximum(amax, attn[..., j : j + 1], out=amax)
+    attn -= amax
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
+    ctx = np.matmul(attn, v).transpose(0, 2, 1, 3).reshape(-1, d)
+    x1 = ctx @ wo.data
+    if keep1 is not None:
+        x1 *= keep1
+    x1 += xs
+    n2, xhat2, inv2 = T._layer_norm_fwd(x1, ln2[0].data, ln2[1].data, eps)
+    hidden = n2 @ w1.data
+    hidden += b1.data
+    np.maximum(hidden, 0.0, out=hidden)
+    y = np.matmul(hidden, w2.data, out=out)
+    y += b2.data
+    if keep2 is not None:
+        y *= keep2
+    y += x1
+    if attn_sink is not None:
+        attn_sink.extend(T.Tensor(attn[:, j]) for j in range(h))
+
+    def vjp(g):
+        g = g.reshape(-1, d)
+        gff = g if keep2 is None else g * keep2
+        T._accum_product((b2,), np.sum, gff, 0)
+        T._accum_product((w2,), np.matmul, hidden.T, gff)
+        ghid = gff @ w2.data.T
+        ghid *= hidden > 0
+        T._accum_product((b1,), np.sum, ghid, 0)
+        T._accum_product((w1,), np.matmul, n2.T, ghid)
+        gx1 = T._layer_norm_vjp(ghid @ w1.data.T, xhat2, inv2, *ln2)
+        gx1 += g
+        gatt = gx1 if keep1 is None else gx1 * keep1
+        T._accum_product((wo,), np.matmul, ctx.T, gatt)
+        gctx = (gatt @ wo.data.T).reshape(n, p, h, dk).transpose(0, 2, 1, 3)
+        gqkv = np.empty((n, p, 3, h, dk))
+        gq, gk, gv = gqkv.transpose(2, 0, 3, 1, 4)
+        np.matmul(attn.swapaxes(-1, -2), gctx, out=gv)
+        gs = np.matmul(gctx, v.swapaxes(-1, -2))  # softmax VJP: s * (g - sum(g * s)) * scale
+        gs -= (gs * attn).sum(axis=-1, keepdims=True)
+        gs *= attn
+        gs *= scale
+        np.matmul(gs, k, out=gq)
+        np.matmul(gs.swapaxes(-1, -2), q, out=gk)
+        gqkv = gqkv.reshape(-1, 3 * d)
+        T._accum_product(weights, np.matmul, n1.T, gqkv)
+        gx = T._layer_norm_vjp(gqkv @ wqkv.T, xhat1, inv1, *ln1)
+        gx += gx1  # not gx1 += gx: gx1 may be gatt, still read by the wo product
+        T._accum(x, gx.reshape(x.data.shape))
+
+    return T._result(out.reshape(n, p, d), parents, vjp)
 
 
 def loop_label_days(le: np.ndarray, window: int, fraction: float, min_history: int) -> np.ndarray:

@@ -25,6 +25,7 @@ from oracles import (
     naive_conv1d,
     naive_conv2d,
     naive_matmul,
+    one_shot_encoder_layer,
     per_tap_conv1d,
     per_tap_conv1d_vjp,
     per_tap_conv2d,
@@ -406,6 +407,24 @@ class TestBackward:
         with pytest.raises(RuntimeError, match="already ran"):
             loss.backward()
 
+    def test_retry_after_a_failed_walk_errors(self):
+        """The first walk sums the root's grad into ``b`` and then fails in ``b``'s VJP: a
+        retry would sum it again, so it raises instead, and no leaf grad is summed."""
+        a, calls = Tensor([1.0, 2.0], requires_grad=True), []
+
+        def flaky(g):
+            calls.append(1)
+            if len(calls) == 1:
+                raise KeyError("once")
+            _accum(a, 3.0 * g)
+
+        loss = T.tsum(_result(3.0 * a.data, (a,), flaky))
+        with pytest.raises(KeyError, match="once"):
+            loss.backward()
+        with pytest.raises(RuntimeError, match="already ran"):
+            loss.backward()
+        assert a.grad is None and calls == [1]
+
     def test_non_scalar_root_errors(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ValueError, match="scalar"):
@@ -572,8 +591,9 @@ def _encoder_args(rng, d, heads, ffn):
 
 class TestChunkedEncoder:
     """With no graph recorded, ``encoder_layer`` runs in row chunks on pool threads.
-    The one-shot recorded forward is the oracle: every byte must match it at widths
-    where the BLAS keeps one GEMM kernel whatever the row count."""
+    The one-shot recorded forward (``oracles.one_shot_encoder_layer``) is the oracle:
+    every byte must match it at widths where the BLAS keeps one GEMM kernel whatever
+    the row count."""
 
     @staticmethod
     def _compare(x, args, training, seed, workers):
@@ -582,7 +602,7 @@ class TestChunkedEncoder:
             with T.no_grad():
                 chunked = T.encoder_layer(Tensor(x), *args, training, rng_c, sink_c)
         sink_o, rng_o = [], np.random.default_rng(seed)
-        oracle = T.encoder_layer(Tensor(x, requires_grad=True), *args, training, rng_o, sink_o)
+        oracle = one_shot_encoder_layer(Tensor(x, requires_grad=True), *args, training, rng_o, sink_o)
         assert oracle.requires_grad and not chunked.requires_grad
         assert chunked.data.tobytes() == oracle.data.tobytes()
         assert [a.data.tobytes() for a in sink_c] == [a.data.tobytes() for a in sink_o]
@@ -619,7 +639,7 @@ class TestChunkedEncoder:
             with mock.patch.object(T, "_WORKERS", workers):
                 pooled = T.encoder_layer(Tensor(x), *args)
         assert pooled.data.tobytes() == serial.data.tobytes()
-        oracle = T.encoder_layer(Tensor(x, requires_grad=True), *args)
+        oracle = one_shot_encoder_layer(Tensor(x, requires_grad=True), *args)
         assert_allclose(serial.data, oracle.data, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("ffn, d, heads", [(128, 32, 2), (1024, 128, 2)])  # defaults and reference_preset
@@ -716,6 +736,132 @@ class TestChunkedEncoder:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+
+def _layer_bytes(layer, x, args, training, seed, workers):
+    """A recorded ``layer`` and its backward under ``workers`` pool threads: the output, each
+    ``attn_sink`` map, the next draw, the input grad and every parameter grad."""
+    leaves = _leaves(args)
+    T.zero_grad(dict(enumerate(leaves)))
+    xt, sink, rng = Tensor(x, requires_grad=True), [], np.random.default_rng(seed)
+    with mock.patch.object(T, "_WORKERS", workers):
+        out = layer(xt, *args, training, rng, sink)
+        T.tsum(T.mul(out, out)).backward()
+    return [out.data, *(a.data for a in sink), np.array(rng.random()), xt.grad, *(t.grad for t in leaves)]
+
+
+class TestRecordedChunks:
+    """The recorded forward runs in row chunks on pool threads too, each writing its rows
+    of every activation the VJP reads in place.  The tests set ``_SAVED_CHUNK_FLOATS``
+    small, so several chunks run at small shapes."""
+
+    @staticmethod
+    def _runs(d, heads, ffn, n, p, floats, training, seed):
+        """The oracle's arrays, then the chunked layer's, the same bytes for 0, 1 and 3 workers."""
+        rng = np.random.default_rng(seed)
+        x, args = rng.standard_normal((n, p, d)), _encoder_args(rng, d, heads, ffn)
+        oracle = _layer_bytes(one_shot_encoder_layer, x, args, training, seed, 0)
+        with mock.patch.object(T, "_SAVED_CHUNK_FLOATS", floats):
+            runs = [_layer_bytes(T.encoder_layer, x, args, training, seed, w) for w in (0, 1, 3)]
+        for run in runs[1:]:
+            assert [a.tobytes() for a in run] == [a.tobytes() for a in runs[0]]
+        return oracle, runs[0]
+
+    @given(widths=st.sampled_from([(32, 128), (128, 1024)]), heads=st.sampled_from([1, 2, 4]), n=st.integers(1, 16),
+           p=st.integers(1, 16), rows=st.integers(128, 160), training=st.booleans(), seed=st.integers(0, 2**16))
+    @example(widths=(128, 1024), heads=2, n=16, p=16, rows=128, training=True, seed=0)  # two chunks of 128 rows
+    @settings(max_examples=40, deadline=None)
+    def test_preset_widths_match_one_shot(self, widths, heads, n, p, rows, training, seed):
+        """(embed_dim, ffn_dim) of the defaults and of reference_preset, every byte the one-shot
+        pass's.  Chunks of 128 to 160 rows, at worst halved by the even split, as the real
+        constant gives 500 or more: OpenBLAS serves GEMMs below about M * N * K = 1e6 with
+        small-matrix kernels that round differently, so chunks of a few rows can differ."""
+        d, ffn = widths
+        oracle, chunked = self._runs(d, heads, ffn, n, p, rows * ffn, training, seed)
+        assert [a.tobytes() for a in chunked] == [a.tobytes() for a in oracle]
+
+    @given(dk=st.integers(1, 24), heads=st.sampled_from([1, 2, 4]), ffn=st.integers(4, 512), n=st.integers(1, 16),
+           p=st.integers(1, 16), step=st.integers(2, 5), training=st.booleans(), seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_any_width_within_rounding_of_one_shot(self, dk, heads, ffn, n, p, step, training, seed):
+        """Chunks of ``step`` sequences at any width: the BLAS may pick another GEMM kernel
+        for a chunk's row count, so each array matches to 1e-12 of its own scale."""
+        oracle, chunked = self._runs(heads * dk, heads, ffn, n, p, step * p * ffn, training, seed)
+        assert len(chunked) == len(oracle)
+        for got, want in zip(chunked, oracle):
+            assert_allclose(got, want, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(want).max()))
+
+    @pytest.mark.parametrize("d, ffn, n, parts", [(32, 128, 128, 1), (128, 1024, 256, 4), (128, 1024, 144, 2)])
+    def test_training_batches_match_one_shot(self, monkeypatch, d, ffn, n, parts):
+        """The real constant: a default-width batch of 64 windows (128 sequences of 14
+        patches) is one chunk, so it runs the one-shot pass's GEMM shapes; train_wide's
+        batches of 128 and 72 windows split in four and two, with the same bytes."""
+        counts, run_chunks = [], T._run_chunks
+        monkeypatch.setattr(T, "_run_chunks", lambda fn, count: counts.append(count) or run_chunks(fn, count))
+        oracle, chunked = self._runs(d, 2, ffn, n, 14, T._SAVED_CHUNK_FLOATS, True, n)
+        assert counts == [parts] * 3
+        assert [a.tobytes() for a in chunked] == [a.tobytes() for a in oracle]
+
+    def test_same_bytes_under_contention(self, monkeypatch):
+        """Four pool threads on fewer cores, switching every microsecond, write disjoint rows
+        of the shared activations: three recorded layers and their backward give the
+        serial bytes every time."""
+        rng = np.random.default_rng(12)
+        args = _encoder_args(rng, 8, 2, 24)
+        x = Tensor(rng.standard_normal((12, 5, 8)))
+        leaves = _leaves(args)
+        monkeypatch.setattr(T, "_SAVED_CHUNK_FLOATS", 3 * 5 * 24)  # 4 chunks of 3 sequences
+
+        def build():
+            rng_d, h = np.random.default_rng(3), x
+            for _ in range(3):
+                h = T.encoder_layer(h, *args, True, rng_d)
+            return T.tsum(T.mul(h, h))
+
+        serial, interval = _grad_bytes(0, build, leaves), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [_grad_bytes(4, build, leaves) for _ in range(20)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(run == serial for run in runs)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_worker_error_surfaces_after_every_chunk(self, monkeypatch, workers):
+        """The first layer norm on a worker raises in training mode: the error surfaces only
+        once every other chunk has run both of its layer norms, no graph node is made, and
+        the next training step gives the serial bytes."""
+        rng = np.random.default_rng(3)
+        args = _encoder_args(rng, 4, 2, 16)
+        x = rng.standard_normal((40, 8, 4))
+        monkeypatch.setattr(T, "_SAVED_CHUNK_FLOATS", 5 * 8 * 16)  # 8 chunks of 5 sequences
+        serial = _layer_bytes(T.encoder_layer, x, args, True, 1, 0)
+        fwd, result, calls, nodes = T._layer_norm_fwd, T._result, [], []
+        lock, failed = threading.Lock(), threading.Event()
+
+        def flaky(*a):
+            if threading.current_thread() is threading.main_thread():
+                assert failed.wait(10)  # hold the caller back until a worker has failed
+            else:
+                with lock:
+                    first = not failed.is_set()
+                    failed.set()
+                if first:
+                    raise RuntimeError("injected")
+                time.sleep(0.01)  # a slow chunk, still running if the caller did not wait
+            calls.append(1)
+            return fwd(*a)
+
+        monkeypatch.setattr(T, "_layer_norm_fwd", flaky)
+        monkeypatch.setattr(T, "_result", lambda *a: nodes.append(1) or result(*a))
+        monkeypatch.setattr(T, "_WORKERS", workers)
+        with pytest.raises(RuntimeError, match="injected"):
+            T.encoder_layer(Tensor(x, requires_grad=True), *args, True, np.random.default_rng(1))
+        assert len(calls) == 2 * 7 and not nodes
+
+        monkeypatch.setattr(T, "_layer_norm_fwd", fwd)
+        again = _layer_bytes(T.encoder_layer, x, args, True, 1, workers)
+        assert [a.tobytes() for a in again] == [a.tobytes() for a in serial]
 
 
 def _leaves(value):
