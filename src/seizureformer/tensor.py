@@ -14,6 +14,10 @@ no parents and no closure, so each intermediate is freed as soon as the next
 operation has consumed it.  Values are the same bytes either way, up to the
 BLAS's kernel choice in ``encoder_layer``, which then runs in row chunks.
 
+Only ``encoder_layer`` shares its work with a thread pool (``_run_chunks``);
+every grad is summed on the calling thread, in walk order.  A ``backward``
+that raises keeps the grads summed before the error, and its graph is spent.
+
 Numerical policy: all values are float64, and any operation that produces a
 NaN/Inf from finite inputs raises ``FloatingPointError`` instead of letting
 the poison propagate.
@@ -34,20 +38,17 @@ Array = np.ndarray
 
 _CONV2D_CHUNK = 32  # batch slices per step of conv2d's kernel-grad sum
 _CHUNK_FLOATS = 2**16  # (rows, ffn) hidden floats per no-grad encoder chunk: 512 KB, well inside a 2 MB L2
-_SAVED_CHUNK_FLOATS = 2**20  # per recorded chunk (8 MB): one at default widths and batch 64, as fast as 2**18-2**19
+_SAVED_CHUNK_ROWS = 1024  # per recorded chunk, forward and backward: two at default widths and batch 64
 _WORKERS: int | None = None  # pool threads beside the caller; None: see _workers()
 # as this process started, when the BLAS read it; bytes depend on the BLAS thread count
 BLAS_THREADS = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS") or "unset"
 _pool = None  # (size, ThreadPoolExecutor), started by the first call that has work for a worker
 _pool_lock = threading.Lock()
-_IN_FLIGHT = 2  # backward's pooled products left unfinished when the caller hands off another
 
 _AxesArg = int | Sequence[int] | None
 
 
 _recording: ContextVar[bool] = ContextVar("recording", default=True)
-# while backward walks with a pool: every leaf grad as (targets, grad or product, future or None)
-_deferred: ContextVar[list | None] = ContextVar("deferred", default=None)
 
 
 @contextmanager
@@ -123,10 +124,9 @@ class Tensor:
         """Populate ``.grad`` on every reachable tensor requiring gradients.
 
         The root must be a scalar produced by recorded operations.  Each node
-        is visited exactly once, in reverse topological order.  With a pool
-        (``_workers()`` > 0), leaf-parameter products run on pool threads while
-        the walk goes on, and every leaf grad is summed after the walk, in walk
-        order, so the bytes never depend on the worker count.
+        is visited exactly once, in reverse topological order, and each VJP sums
+        its grads before the next one runs.  An error stops the walk where it
+        is raised: grads summed before it stay, and the graph counts as used.
         """
         if self.data.size != 1:
             raise ValueError("backward requires a scalar root")
@@ -155,18 +155,9 @@ class Tensor:
                     stack.append((parent, False))
 
         self.grad = np.ones_like(self.data)
-        queue: list = []
-        token = _deferred.set(queue) if _workers() > 0 else None
-        walked = False
-        try:
-            for node in reversed(order):
-                if node._vjp is not None:
-                    node._vjp(node.grad)
-            walked = True
-        finally:
-            if token is not None:
-                _deferred.reset(token)
-            _join(queue, walked)
+        for node in reversed(order):
+            if node._vjp is not None:
+                node._vjp(node.grad)
         for node in order:
             if node.grad is not None and not np.all(np.isfinite(node.grad)):
                 raise FloatingPointError("backward produced non-finite gradients")
@@ -198,75 +189,12 @@ def _result(data: Array, parents: tuple[Tensor, ...], vjp: Callable[[Array], Non
 
 def _accum(t: Tensor, g: Array) -> None:
     if t.requires_grad:
-        queue = _deferred.get()
-        if queue is not None and t._vjp is None:  # a leaf: summed at backward's join, in walk order
-            queue.append(((t,), g, None))
-        else:
-            t.grad = g if t.grad is None else t.grad + g
+        t.grad = g if t.grad is None else t.grad + g
 
 
 def _accum_split(targets: Sequence[Tensor], g: Array) -> None:
     for t, part in zip(targets, np.split(g, len(targets), axis=-1) if len(targets) > 1 else (g,)):
         _accum(t, part)
-
-
-def _accum_product(targets: Sequence[Tensor], fn: Callable[..., Array], *args: Array) -> None:
-    """Accumulate ``fn(*args)`` into ``targets``, split evenly along its last axis when
-    there are several.  Inside ``backward`` with a pool, when every target is a leaf, it
-    runs on a pool thread while the walk goes on: the caller must not write any of
-    ``args`` from then on.  A non-leaf target needs its grad now, so it runs inline."""
-    if not any(t.requires_grad for t in targets):
-        return
-    queue = _deferred.get()
-    if queue is not None and all(t._vjp is None for t in targets):
-        _settle(queue)
-        job = [fn, *args]
-        queue.append((targets, job, _submit([lambda: _take(job)], _workers())[0]))
-    else:
-        _accum_split(targets, fn(*args))
-
-
-def _settle(queue: list) -> None:
-    """Leave at most ``_IN_FLIGHT`` queued products unfinished, waiting for the oldest others
-    or running them here if no pool thread has started them: a lagging pool would otherwise
-    keep every layer's (rows, ffn) gradient alive until the join."""
-    busy = [i for i, (_, _, future) in enumerate(queue) if future is not None and not future.done()]
-    for i in busy[: max(0, len(busy) - _IN_FLIGHT)]:
-        targets, job, future = queue[i]
-        if future.cancel():
-            queue[i] = (targets, _take(job), None)
-        else:
-            future.exception()  # waits; the join reads the result or the error
-
-
-def _take(job: list) -> Array:
-    """Run ``job`` = [fn, *args] and empty it, so its inputs are freed once the product is done, not at the join."""
-    fn, *args = job
-    job.clear()
-    return fn(*args)
-
-
-def _join(queue: list, walked: bool) -> None:
-    """Accumulate backward's queued leaf grads in submission order, then empty the queue.
-    A product no pool thread has started is cancelled and run here (a forked child's copy
-    of the pool has no threads).  After a failure, or a failed walk, nothing more runs or
-    accumulates; a product's error re-raises once every started product has finished,
-    and only if the walk, whose own error comes first, succeeded."""
-    run, failed = walked, None
-    for targets, work, future in queue:
-        try:
-            if future is not None and future.cancel():  # not started, or lost to a fork
-                work = _take(work) if run else None
-            elif future is not None:
-                work = future.result()
-        except Exception as exc:
-            run, failed = False, failed or exc
-        else:
-            if run:
-                _accum_split(targets, work)
-    queue.clear()
-    if walked and failed is not None:
-        raise failed
 
 
 def _sum_to_shape(g: Array, shape: tuple[int, ...]) -> Array:
@@ -468,17 +396,15 @@ def _layer_norm_fwd(x: Array, gamma: Array, beta: Array, eps: float, out: Array 
     return out, xhat, inv
 
 
-def _layer_norm_vjp(g: Array, xhat: Array, inv: Array, gamma: Tensor, beta: Tensor) -> Array:
-    """Accumulate the gamma and beta grads; return the (rows, d) input grad
-    inv * (dxh - mean(dxh) - xh * mean(dxh * xh)), dxh = g * gamma, row means as GEMVs."""
+def _layer_norm_vjp(g: Array, xhat: Array, inv: Array, gamma: Array) -> Array:
+    """The (rows, d) input grad inv * (dxh - mean(dxh) - xh * mean(dxh * xh)), dxh = g * gamma,
+    row means as GEMVs; the gamma and beta grads are row sums the caller takes."""
     d = xhat.shape[-1]
     g, xhat, inv = g.reshape(-1, d), xhat.reshape(-1, d), inv.reshape(-1, 1)
     gx = g * xhat
-    _accum(gamma, gx.sum(axis=0))
-    _accum(beta, g.sum(axis=0))
-    gx *= gamma.data  # dxh * xh
+    gx *= gamma  # dxh * xh
     row_mean = np.full((d, 1), 1.0 / d)
-    dxhat = g * gamma.data
+    dxhat = g * gamma
     np.multiply(xhat, gx @ row_mean, out=gx)
     gx += dxhat @ row_mean
     np.subtract(dxhat, gx, out=dxhat)
@@ -496,25 +422,13 @@ def _workers() -> int:
     return cpus - 1 if BLAS_THREADS == "1" else 0
 
 
-def _submit(fns: Sequence[Callable[[], object]], workers: int) -> list:
-    """Submit each call to the one shared pool, started (or grown) to ``workers`` threads
-    first; returns their futures.  Workers call no traced op: the tracer keeps one span stack."""
-    global _pool
-    with _pool_lock:  # a resize shuts the old pool down: nobody may submit to it meanwhile
-        if _pool is None or _pool[0] < workers:
-            from concurrent.futures import ThreadPoolExecutor  # not at import: it loads logging (~11 ms)
-
-            if _pool is not None:
-                _pool[1].shutdown()
-            _pool = (workers, ThreadPoolExecutor(workers, thread_name_prefix="encoder"))
-        return [_pool[1].submit(fn) for fn in fns]
-
-
 def _run_chunks(fn: Callable[[int], None], count: int) -> None:
     """Call ``fn(i)`` for i in range(count), shared between the calling thread and up to
-    ``_workers()`` pool threads, never more threads than calls.  Returns once every
-    started call has finished, so no worker still writes; then the first error
-    re-raises, the caller's own first."""
+    ``_workers()`` threads of the one shared pool, started (or grown) first, never more
+    threads than calls.  Returns once every started call has finished, so no worker
+    still writes; then the first error re-raises, the caller's own first.  Workers call
+    no traced op: the tracer keeps one span stack."""
+    global _pool
     workers = min(_workers(), count - 1)
     todo, lock = iter(range(count)), threading.Lock()
 
@@ -526,7 +440,16 @@ def _run_chunks(fn: Callable[[int], None], count: int) -> None:
                 return
             fn(i)
 
-    futures = _submit([drain] * workers, workers) if workers > 0 else []
+    futures = []
+    if workers > 0:
+        with _pool_lock:  # a resize shuts the old pool down: nobody may submit to it meanwhile
+            if _pool is None or _pool[0] < workers:
+                from concurrent.futures import ThreadPoolExecutor  # not at import: it loads logging (~11 ms)
+
+                if _pool is not None:
+                    _pool[1].shutdown()
+                _pool = (workers, ThreadPoolExecutor(workers, thread_name_prefix="encoder"))
+            futures = [_pool[1].submit(drain) for _ in range(workers)]
     try:
         drain()
     finally:  # a worker not yet started (or lost to a fork) has nothing left; wait for the others
@@ -548,27 +471,35 @@ def encoder_layer(
     the heads run batched as (N, h, p, dk).  ``ffn`` is (w1, b1, w2, b2).  Keep-masks
     are drawn as ``dropout`` draws them, attention first; each head's (N, p, p)
     softmax goes to ``attn_sink``.  The forward runs in even chunks of at most
-    ``_CHUNK_FLOATS // (p * ffn_dim)`` sequences, ``_SAVED_CHUNK_FLOATS`` when a graph
-    is recorded, shared with the pool (``_run_chunks``); a recorded chunk writes its
-    rows of each activation the VJP reads in place.  Rows are independent and the
-    bounds follow from the shapes, so the bytes never depend on the worker count;
+    ``_CHUNK_FLOATS // (p * ffn_dim)`` sequences, shared with the pool (``_run_chunks``).
+    When a graph is recorded, the even split takes ``_SAVED_CHUNK_ROWS // p`` sequences
+    at most, its interior bounds moved down to multiples of 4 sequences, and each chunk
+    writes its rows of every activation the VJP reads in place.  The VJP runs the
+    input-gradient chain over the same chunks, then the parameter grads as whole-batch
+    products side by side, and sums every grad on the caller.  Rows are independent and
+    the bounds follow from the shapes, so the bytes never depend on the worker count;
     against one pass over all rows they differ only where the BLAS picks its GEMM
-    kernel by row count.  In the backward, the parameter products go to the pool."""
+    kernel by row count."""
     n, p, d = x.data.shape
     h, dk = len(heads), d // len(heads)
     w1, b1, w2, b2 = ffn
+    ffn_dim = w1.data.shape[1]
     weights = [w for group in zip(*heads) for w in group]  # every wq, then every wk, then every wv
     wqkv = np.concatenate([w.data for w in weights], axis=1)
     scale = 1.0 / np.sqrt(dk)
     parents = (x, *ln1, *weights, wo, *ln2, *ffn)
     keep1, keep2 = (_keep_mask((n * p, d), dropout_rate, training, rng) for _ in range(2))
     recorded = _recording.get() and any(t.requires_grad for t in parents)
-    # no-grad chunks keep their (rows, ffn) hidden inside L2; nothing reduces over rows
-    parts = -(-n // max(1, (_SAVED_CHUNK_FLOATS if recorded else _CHUNK_FLOATS) // (p * w1.data.shape[1])))
-    bounds = [n * i // parts for i in range(parts + 1)]  # even chunks: no lone row takes numpy's vector path
+    # no-grad chunks keep their (rows, ffn) hidden inside L2; nothing reduces over rows.  Recorded
+    # bounds fall on whole units of 4 sequences: the VJP's row-mean GEMVs round a call's last
+    # rows by the call's length mod 4, so a chunk must end where the whole batch would.
+    unit = 4 if recorded else 1
+    units, step = -(-n // unit), (_SAVED_CHUNK_ROWS if recorded else _CHUNK_FLOATS // ffn_dim) // p
+    parts = min(units, -(-n // max(1, step)))
+    bounds = [min(n, unit * (units * i // parts)) for i in range(parts + 1)]  # even: no lone row takes numpy's vector path
     # what the VJP reads, full-size; unrecorded, each chunk makes its own rows
     n1, xhat1, inv1, qkv, ctx, n2, xhat2, inv2, hidden = (
-        np.empty((n * p, width)) if recorded else None for width in (d, d, 1, 3 * d, d, d, d, 1, w1.data.shape[1]))
+        np.empty((n * p, width)) if recorded else None for width in (d, d, 1, 3 * d, d, d, d, 1, ffn_dim))
     attn = np.empty((n, h, p, p)) if recorded or attn_sink is not None else None
     out = np.empty((n * p, d))
 
@@ -611,34 +542,52 @@ def encoder_layer(
     if attn_sink is not None:
         attn_sink.extend(Tensor(attn[:, j]) for j in range(h))
 
-    def vjp(g: Array) -> None:  # parameter products may run on a pool thread: their inputs are never written after
+    def vjp(g: Array) -> None:
         g = g.reshape(-1, d)
-        q, k, v = qkv.reshape(n, p, 3, h, dk).transpose(2, 0, 3, 1, 4)
-        gff = g if keep2 is None else g * keep2
-        _accum_product((b2,), np.sum, gff, 0)
-        _accum_product((w2,), np.matmul, hidden.T, gff)
-        ghid = gff @ w2.data.T
-        ghid *= hidden > 0
-        _accum_product((b1,), np.sum, ghid, 0)
-        _accum_product((w1,), np.matmul, n2.T, ghid)
-        gx1 = _layer_norm_vjp(ghid @ w1.data.T, xhat2, inv2, *ln2)
-        gx1 += g
-        gatt = gx1 if keep1 is None else gx1 * keep1
-        _accum_product((wo,), np.matmul, ctx.T, gatt)
-        gctx = (gatt @ wo.data.T).reshape(n, p, h, dk).transpose(0, 2, 1, 3)
-        gqkv = np.empty((n, p, 3, h, dk))
-        gq, gk, gv = gqkv.transpose(2, 0, 3, 1, 4)
-        np.matmul(attn.swapaxes(-1, -2), gctx, out=gv)
-        gs = np.matmul(gctx, v.swapaxes(-1, -2))  # softmax VJP: s * (g - sum(g * s)) * scale
-        gs -= (gs * attn).sum(axis=-1, keepdims=True)
-        gs *= attn
-        gs *= scale
-        np.matmul(gs, k, out=gq)
-        np.matmul(gs.swapaxes(-1, -2), q, out=gk)
-        gqkv = gqkv.reshape(-1, 3 * d)
-        _accum_product(weights, np.matmul, n1.T, gqkv)
-        gx = _layer_norm_vjp(gqkv @ wqkv.T, xhat1, inv1, *ln1)
-        gx += gx1  # not gx1 += gx: gx1 may be gatt, still read by the wo product
+        gff = g if keep2 is None else np.empty(g.shape)
+        ghid, gn2, gatt, gqkv, gn1, gx = (np.empty((n * p, width)) for width in (ffn_dim, d, d, 3 * d, d, d))
+
+        def chunk_vjp(i: int) -> None:
+            """The input-gradient chain over sequences [lo, hi): writes their rows of every grad above."""
+            lo, hi = bounds[i], bounds[i + 1]
+            rows = slice(lo * p, hi * p)
+            gf = gff[rows] if keep2 is None else np.multiply(g[rows], keep2[rows], out=gff[rows])
+            gh = np.matmul(gf, w2.data.T, out=ghid[rows])
+            gh *= hidden[rows] > 0
+            gm = np.matmul(gh, w1.data.T, out=gn2[rows])
+            gx1 = _layer_norm_vjp(gm, xhat2[rows], inv2[rows], ln2[0].data)
+            gx1 += g[rows]
+            ga = np.multiply(gx1, 1.0 if keep1 is None else keep1[rows], out=gatt[rows])  # x * 1.0 is x, bit for bit
+            gctx = (ga @ wo.data.T).reshape(-1, p, h, dk).transpose(0, 2, 1, 3)
+            q, k, v = qkv[rows].reshape(-1, p, 3, h, dk).transpose(2, 0, 3, 1, 4)
+            gq, gk, gv = gqkv[rows].reshape(-1, p, 3, h, dk).transpose(2, 0, 3, 1, 4)
+            s = attn[lo:hi]
+            np.matmul(s.swapaxes(-1, -2), gctx, out=gv)
+            gs = np.matmul(gctx, v.swapaxes(-1, -2))  # softmax VJP: s * (g - sum(g * s)) * scale
+            gs -= (gs * s).sum(axis=-1, keepdims=True)
+            gs *= s
+            gs *= scale
+            np.matmul(gs, k, out=gq)
+            np.matmul(gs.swapaxes(-1, -2), q, out=gk)
+            gm = np.matmul(gqkv[rows], wqkv.T, out=gn1[rows])
+            np.add(_layer_norm_vjp(gm, xhat1[rows], inv1[rows], ln1[0].data), gx1, out=gx[rows])
+
+        _run_chunks(chunk_vjp, parts)
+        # the parameter grads as whole-batch products, run side by side and summed here in walk order
+        products = [((b2,), lambda: gff.sum(axis=0)), ((w2,), lambda: hidden.T @ gff),
+                    ((b1,), lambda: ghid.sum(axis=0)), ((w1,), lambda: n2.T @ ghid),
+                    ((ln2[0],), lambda: (gn2 * xhat2).sum(axis=0)), ((ln2[1],), lambda: gn2.sum(axis=0)),
+                    ((wo,), lambda: ctx.T @ gatt), (weights, lambda: n1.T @ gqkv),
+                    ((ln1[0],), lambda: (gn1 * xhat1).sum(axis=0)), ((ln1[1],), lambda: gn1.sum(axis=0))]
+        products = [(targets, fn) for targets, fn in products if any(t.requires_grad for t in targets)]
+        grads = [None] * len(products)
+
+        def product(i: int) -> None:
+            grads[i] = products[i][1]()
+
+        _run_chunks(product, len(products))
+        for (targets, _), grad in zip(products, grads):
+            _accum_split(targets, grad)
         _accum(x, gx.reshape(x.data.shape))
 
     return _result(out.reshape(n, p, d), parents, vjp)  # vjp is kept only when recorded

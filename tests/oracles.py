@@ -12,7 +12,8 @@ from the package's primitive ops, the broadcast ``matmul`` (no weight fold,
 no fused bias) with the encoder built from it and ``transpose_last2``, the
 ``softmax`` op and the graph-level encoder built from it (replaced by the
 fused ``encoder_layer``), the recorded ``encoder_layer`` as one pass over
-all rows (replaced by row chunks shared with the pool), the per-day
+all rows with its one-pass VJP and the accumulating layer-norm VJP
+(replaced by row chunks shared with the pool), the per-day
 ``label_days`` loop, the per-anchor ``make_windows`` loop and the list-based ``split_chronological`` (replaced
 by array ops on a ``WindowSet``), the pairwise gap loop over records
 (replaced by one diff over ``PatientSeries.dates``), the scalar Poisson
@@ -157,13 +158,32 @@ def composed_embed(patches: T.Tensor, cfg, params: dict) -> T.Tensor:
     return T.matmul(embedded, params["proj.weight"]) + params["proj.pos"]
 
 
+def layer_norm_vjp(g, xhat, inv, gamma: T.Tensor, beta: T.Tensor) -> np.ndarray:
+    """The layer-norm VJP as the package had it before its row sums moved to the caller:
+    accumulate the gamma and beta grads, return the (rows, d) input grad
+    inv * (dxh - mean(dxh) - xh * mean(dxh * xh)), dxh = g * gamma, row means as GEMVs."""
+    d = xhat.shape[-1]
+    g, xhat, inv = g.reshape(-1, d), xhat.reshape(-1, d), inv.reshape(-1, 1)
+    gx = g * xhat
+    T._accum(gamma, gx.sum(axis=0))
+    T._accum(beta, g.sum(axis=0))
+    gx *= gamma.data  # dxh * xh
+    row_mean = np.full((d, 1), 1.0 / d)
+    dxhat = g * gamma.data
+    np.multiply(xhat, gx @ row_mean, out=gx)
+    gx += dxhat @ row_mean
+    np.subtract(dxhat, gx, out=dxhat)
+    dxhat *= inv
+    return dxhat
+
+
 def layer_norm(x: T.Tensor, gamma: T.Tensor, beta: T.Tensor, eps: float) -> T.Tensor:
-    """The layer_norm op, as the package had it: one node over the fused helpers
-    that ``encoder_layer`` runs."""
+    """The layer_norm op, as the package had it: one node over the fused forward
+    that ``encoder_layer`` runs and ``layer_norm_vjp``."""
     data, xhat, inv = T._layer_norm_fwd(x.data, gamma.data, beta.data, eps)
 
     def vjp(g):
-        T._accum(x, T._layer_norm_vjp(g, xhat, inv, gamma, beta).reshape(x.data.shape))
+        T._accum(x, layer_norm_vjp(g, xhat, inv, gamma, beta).reshape(x.data.shape))
 
     return T._result(data, (x, gamma, beta), vjp)
 
@@ -282,8 +302,9 @@ def graph_mhsa_encoder(x: T.Tensor, cfg, params: dict, training=False, rng=None,
 
 def one_shot_encoder_layer(x: T.Tensor, ln1, heads, wo: T.Tensor, ln2, ffn, eps: float, dropout_rate: float,
                            training: bool = False, rng=None, attn_sink=None) -> T.Tensor:
-    """The recorded ``encoder_layer`` as the package had it before its training forward
-    ran in row chunks: one forward pass over all rows, then the same closed-form VJP."""
+    """The recorded ``encoder_layer`` as the package had it before it ran in row chunks:
+    one forward pass over all rows, then the closed-form VJP over all rows, summing each
+    grad as it is made."""
     n, p, d = x.data.shape
     h, dk = len(heads), d // len(heads)
     w1, b1, w2, b2 = ffn
@@ -325,16 +346,16 @@ def one_shot_encoder_layer(x: T.Tensor, ln1, heads, wo: T.Tensor, ln2, ffn, eps:
     def vjp(g):
         g = g.reshape(-1, d)
         gff = g if keep2 is None else g * keep2
-        T._accum_product((b2,), np.sum, gff, 0)
-        T._accum_product((w2,), np.matmul, hidden.T, gff)
+        T._accum(b2, np.sum(gff, 0))
+        T._accum(w2, hidden.T @ gff)
         ghid = gff @ w2.data.T
         ghid *= hidden > 0
-        T._accum_product((b1,), np.sum, ghid, 0)
-        T._accum_product((w1,), np.matmul, n2.T, ghid)
-        gx1 = T._layer_norm_vjp(ghid @ w1.data.T, xhat2, inv2, *ln2)
+        T._accum(b1, np.sum(ghid, 0))
+        T._accum(w1, n2.T @ ghid)
+        gx1 = layer_norm_vjp(ghid @ w1.data.T, xhat2, inv2, *ln2)
         gx1 += g
         gatt = gx1 if keep1 is None else gx1 * keep1
-        T._accum_product((wo,), np.matmul, ctx.T, gatt)
+        T._accum(wo, ctx.T @ gatt)
         gctx = (gatt @ wo.data.T).reshape(n, p, h, dk).transpose(0, 2, 1, 3)
         gqkv = np.empty((n, p, 3, h, dk))
         gq, gk, gv = gqkv.transpose(2, 0, 3, 1, 4)
@@ -346,9 +367,9 @@ def one_shot_encoder_layer(x: T.Tensor, ln1, heads, wo: T.Tensor, ln2, ffn, eps:
         np.matmul(gs, k, out=gq)
         np.matmul(gs.swapaxes(-1, -2), q, out=gk)
         gqkv = gqkv.reshape(-1, 3 * d)
-        T._accum_product(weights, np.matmul, n1.T, gqkv)
-        gx = T._layer_norm_vjp(gqkv @ wqkv.T, xhat1, inv1, *ln1)
-        gx += gx1  # not gx1 += gx: gx1 may be gatt, still read by the wo product
+        T._accum_split(weights, n1.T @ gqkv)
+        gx = layer_norm_vjp(gqkv @ wqkv.T, xhat1, inv1, *ln1)
+        gx += gx1
         T._accum(x, gx.reshape(x.data.shape))
 
     return T._result(out.reshape(n, p, d), parents, vjp)

@@ -752,54 +752,62 @@ def _layer_bytes(layer, x, args, training, seed, workers):
 
 class TestRecordedChunks:
     """The recorded forward runs in row chunks on pool threads too, each writing its rows
-    of every activation the VJP reads in place.  The tests set ``_SAVED_CHUNK_FLOATS``
-    small, so several chunks run at small shapes."""
+    of every activation the VJP reads in place, and the VJP's input-gradient chain runs
+    over the same chunks.  Most tests set ``_SAVED_CHUNK_ROWS`` small, so several chunks
+    run at small shapes."""
 
     @staticmethod
-    def _runs(d, heads, ffn, n, p, floats, training, seed):
+    def _runs(d, heads, ffn, n, p, rows, training, seed):
         """The oracle's arrays, then the chunked layer's, the same bytes for 0, 1 and 3 workers."""
         rng = np.random.default_rng(seed)
         x, args = rng.standard_normal((n, p, d)), _encoder_args(rng, d, heads, ffn)
         oracle = _layer_bytes(one_shot_encoder_layer, x, args, training, seed, 0)
-        with mock.patch.object(T, "_SAVED_CHUNK_FLOATS", floats):
+        with mock.patch.object(T, "_SAVED_CHUNK_ROWS", rows):
             runs = [_layer_bytes(T.encoder_layer, x, args, training, seed, w) for w in (0, 1, 3)]
         for run in runs[1:]:
             assert [a.tobytes() for a in run] == [a.tobytes() for a in runs[0]]
         return oracle, runs[0]
 
-    @given(widths=st.sampled_from([(32, 128), (128, 1024)]), heads=st.sampled_from([1, 2, 4]), n=st.integers(1, 16),
-           p=st.integers(1, 16), rows=st.integers(128, 160), training=st.booleans(), seed=st.integers(0, 2**16))
-    @example(widths=(128, 1024), heads=2, n=16, p=16, rows=128, training=True, seed=0)  # two chunks of 128 rows
+    @given(widths=st.sampled_from([(32, 128), (128, 1024)]), heads=st.sampled_from([1, 2, 4]), p=st.integers(1, 16),
+           rows=st.integers(128, 1024), size=st.integers(1, 2560), training=st.booleans(), seed=st.integers(0, 2**16))
+    @example(widths=(128, 1024), heads=2, p=16, rows=128, size=256, training=True, seed=0)  # two chunks of 128 rows
     @settings(max_examples=40, deadline=None)
-    def test_preset_widths_match_one_shot(self, widths, heads, n, p, rows, training, seed):
+    def test_preset_widths_match_one_shot(self, widths, heads, p, rows, size, training, seed):
         """(embed_dim, ffn_dim) of the defaults and of reference_preset, every byte the one-shot
-        pass's.  Chunks of 128 to 160 rows, at worst halved by the even split, as the real
-        constant gives 500 or more: OpenBLAS serves GEMMs below about M * N * K = 1e6 with
-        small-matrix kernels that round differently, so chunks of a few rows can differ."""
+        pass's: forward, maps, draw, input grad and every parameter grad.  Chunks of at most
+        128 to 1,024 rows over batches of up to 2,560 rows (``size // p`` sequences), each
+        ending on the 4-sequence grid or at the batch's end.  The real constant gives 500
+        rows or more: OpenBLAS serves GEMMs below about M * N * K = 1e6 with small-matrix
+        kernels that round differently, so chunks of a few rows can differ."""
         d, ffn = widths
-        oracle, chunked = self._runs(d, heads, ffn, n, p, rows * ffn, training, seed)
+        oracle, chunked = self._runs(d, heads, ffn, max(1, size // p), p, rows, training, seed)
         assert [a.tobytes() for a in chunked] == [a.tobytes() for a in oracle]
 
     @given(dk=st.integers(1, 24), heads=st.sampled_from([1, 2, 4]), ffn=st.integers(4, 512), n=st.integers(1, 16),
            p=st.integers(1, 16), step=st.integers(2, 5), training=st.booleans(), seed=st.integers(0, 2**16))
     @settings(max_examples=40, deadline=None)
     def test_any_width_within_rounding_of_one_shot(self, dk, heads, ffn, n, p, step, training, seed):
-        """Chunks of ``step`` sequences at any width: the BLAS may pick another GEMM kernel
-        for a chunk's row count, so each array matches to 1e-12 of its own scale."""
-        oracle, chunked = self._runs(heads * dk, heads, ffn, n, p, step * p * ffn, training, seed)
+        """Chunks of about ``step`` sequences, bounds on the 4-sequence grid, at any width:
+        the BLAS may pick another GEMM kernel for a chunk's row count, so each array
+        matches to 1e-12 of its own scale."""
+        oracle, chunked = self._runs(heads * dk, heads, ffn, n, p, step * p, training, seed)
         assert len(chunked) == len(oracle)
         for got, want in zip(chunked, oracle):
             assert_allclose(got, want, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(want).max()))
 
-    @pytest.mark.parametrize("d, ffn, n, parts", [(32, 128, 128, 1), (128, 1024, 256, 4), (128, 1024, 144, 2)])
+    @pytest.mark.parametrize("d, ffn, n, parts", [
+        (32, 128, 128, 2), (32, 128, 74, 2), (128, 1024, 256, 4), (128, 1024, 144, 2)])
     def test_training_batches_match_one_shot(self, monkeypatch, d, ffn, n, parts):
-        """The real constant: a default-width batch of 64 windows (128 sequences of 14
-        patches) is one chunk, so it runs the one-shot pass's GEMM shapes; train_wide's
-        batches of 128 and 72 windows split in four and two, with the same bytes."""
+        """The real constant, 1,024 rows (73 sequences of 14 patches): a default-width batch
+        of 64 windows (128 sequences) is two chunks, and train_wide's batches of 128 and 72
+        windows split in four and two.  The 37-window batch that ends a 450-day patient's
+        epoch (74 sequences) splits at 36: halves of 37 sequences (518 rows) would round
+        the layer-norm VJP's row-mean GEMVs differently from the one-shot pass.  Each
+        layer's forward and backward take ``parts`` chunks, its products one call of 10."""
         counts, run_chunks = [], T._run_chunks
         monkeypatch.setattr(T, "_run_chunks", lambda fn, count: counts.append(count) or run_chunks(fn, count))
-        oracle, chunked = self._runs(d, 2, ffn, n, 14, T._SAVED_CHUNK_FLOATS, True, n)
-        assert counts == [parts] * 3
+        oracle, chunked = self._runs(d, 2, ffn, n, 14, T._SAVED_CHUNK_ROWS, True, n)
+        assert counts == [parts, parts, 10] * 3
         assert [a.tobytes() for a in chunked] == [a.tobytes() for a in oracle]
 
     def test_same_bytes_under_contention(self, monkeypatch):
@@ -810,7 +818,7 @@ class TestRecordedChunks:
         args = _encoder_args(rng, 8, 2, 24)
         x = Tensor(rng.standard_normal((12, 5, 8)))
         leaves = _leaves(args)
-        monkeypatch.setattr(T, "_SAVED_CHUNK_FLOATS", 3 * 5 * 24)  # 4 chunks of 3 sequences
+        monkeypatch.setattr(T, "_SAVED_CHUNK_ROWS", 4 * 5)  # 3 chunks of 4 sequences
 
         def build():
             rng_d, h = np.random.default_rng(3), x
@@ -834,7 +842,7 @@ class TestRecordedChunks:
         rng = np.random.default_rng(3)
         args = _encoder_args(rng, 4, 2, 16)
         x = rng.standard_normal((40, 8, 4))
-        monkeypatch.setattr(T, "_SAVED_CHUNK_FLOATS", 5 * 8 * 16)  # 8 chunks of 5 sequences
+        monkeypatch.setattr(T, "_SAVED_CHUNK_ROWS", 4 * 8)  # 10 chunks of 4 sequences
         serial = _layer_bytes(T.encoder_layer, x, args, True, 1, 0)
         fwd, result, calls, nodes = T._layer_norm_fwd, T._result, [], []
         lock, failed = threading.Lock(), threading.Event()
@@ -857,7 +865,7 @@ class TestRecordedChunks:
         monkeypatch.setattr(T, "_WORKERS", workers)
         with pytest.raises(RuntimeError, match="injected"):
             T.encoder_layer(Tensor(x, requires_grad=True), *args, True, np.random.default_rng(1))
-        assert len(calls) == 2 * 7 and not nodes
+        assert len(calls) == 2 * 9 and not nodes
 
         monkeypatch.setattr(T, "_layer_norm_fwd", fwd)
         again = _layer_bytes(T.encoder_layer, x, args, True, 1, workers)
@@ -894,15 +902,16 @@ def _backward_in_child():
 
 
 class TestPooledBackward:
-    """Inside ``backward``, the encoder's leaf-parameter products run on pool threads
-    while the caller walks on, and every leaf grad is summed at the join in walk order."""
+    """``encoder_layer``'s VJP runs its input-gradient chain in the forward's row chunks,
+    then its parameter products side by side, both shared with the pool; the caller sums
+    every grad in walk order once both are done."""
 
     @given(heads=st.sampled_from([1, 2]), p=st.integers(1, 6), n=st.integers(1, 5), rate=st.sampled_from([0.0, 0.3]),
            training=st.booleans(), workers=st.integers(1, 3), seed=st.integers(0, 2**16))
     @settings(max_examples=30, deadline=None)
     def test_grads_same_bytes_for_any_worker_count(self, heads, p, n, rate, training, workers, seed):
-        """Dropout off (rate 0 or eval) is the case where the wo product reads the very
-        array the input chain goes on from."""
+        """Dropout off (rate 0 or eval) is the case where the chunks scale their rows of the
+        attention-output grad by 1 instead of masking them."""
         rng = np.random.default_rng(seed)
         args = _encoder_args(rng, 8, heads, 24)[:-1] + (rate,)
         x = Tensor(rng.standard_normal((n, p, 8)), requires_grad=True)
@@ -914,8 +923,8 @@ class TestPooledBackward:
         assert _grad_bytes(workers, build, leaves) == _grad_bytes(0, build, leaves)
 
     def test_same_bytes_under_contention(self, monkeypatch):
-        """Four pool threads on fewer cores, switching every microsecond: each product
-        runs once, on a worker or (cancelled) on the caller, and sums in walk order."""
+        """Four pool threads on fewer cores, switching every microsecond: each product runs
+        once, on a worker or on the caller, and every grad sums in walk order."""
         rng = np.random.default_rng(8)
         args = _encoder_args(rng, 8, 2, 24)
         x = Tensor(rng.standard_normal((4, 5, 8)))
@@ -936,42 +945,10 @@ class TestPooledBackward:
             sys.setswitchinterval(interval)
         assert all(run == serial for run in runs)
 
-    def test_stalled_pool_holds_few_products(self, monkeypatch):
-        """Futures no thread ever starts, as in a stalled pool: the caller runs the oldest
-        itself, so at most ``_IN_FLIGHT`` products (plus the new one) are left unfinished."""
-        from concurrent.futures import Future
-
-        rng = np.random.default_rng(10)
-        args = _encoder_args(rng, 8, 2, 24)
-        x = Tensor(rng.standard_normal((4, 5, 8)))
-        leaves = _leaves(args)
-
-        def build():
-            h = x
-            for _ in range(3):
-                h = T.encoder_layer(h, *args)
-            return T.tsum(T.mul(h, h))
-
-        serial, futures, unfinished = _grad_bytes(0, build, leaves), [], []
-        real = T._accum_product
-
-        def stalled(fns, workers):
-            futures.extend(Future() for _ in fns)
-            return futures[-len(fns):]
-
-        def counted(*a):
-            real(*a)
-            unfinished.append(sum(not f.done() for f in futures))
-
-        monkeypatch.setattr(T, "_submit", stalled)
-        monkeypatch.setattr(T, "_accum_product", counted)
-        assert _grad_bytes(1, build, leaves) == serial
-        assert len(futures) == 18 and max(unfinished) == T._IN_FLIGHT + 1
-
     def test_shared_leaf_sums_in_walk_order(self):
         """Two layers share every weight; wo and b2 also act on the input and w1 on the
-        output, so their inline terms come after and before the pooled ones in walk
-        order.  Three or more terms per leaf round differently in another order."""
+        output, so their other terms come after and before each layer's in walk order.
+        Three or more terms per leaf round differently in another order."""
         rng = np.random.default_rng(9)
         args = _encoder_args(rng, 8, 2, 24)
         wo, (w1, _, _, b2) = args[2], args[4]
@@ -990,8 +967,8 @@ class TestPooledBackward:
 
     @pytest.mark.parametrize("which", ["w1", "wq"])
     def test_non_leaf_weight_gradcheck(self, monkeypatch, which):
-        """An encoder weight built by an op from the checked leaf needs its grad during
-        the walk, so its product runs inline while the leaves' run on the pool."""
+        """An encoder weight built by an op from the checked leaf gets its grad from the
+        layer's VJP before its own VJP runs, with the products on the pool."""
         monkeypatch.setattr(T, "_WORKERS", 1)
         rng = np.random.default_rng(6)
         args = _encoder_args(rng, 4, 2, 6)[:-1] + (0.0,)
@@ -1008,61 +985,93 @@ class TestPooledBackward:
 
         assert grad_check(f, Tensor(base.data)) < 1e-6
 
-    def test_worker_error_surfaces_after_the_join(self, monkeypatch):
-        """The first product raises on a pool thread and the second is still running:
-        backward raises only after it has finished, sums nothing, and the next backward
-        gives the serial bytes."""
+    @pytest.mark.parametrize("which", ["x", "w1"])
+    def test_gradcheck_across_chunks(self, monkeypatch, which):
+        """Criterion 1's checks run one chunk; here the input and ``w1`` are checked with
+        the recorded layer split in three, forward and backward, on the pool."""
+        counts, run_chunks = [], T._run_chunks
+        monkeypatch.setattr(T, "_run_chunks", lambda fn, count: counts.append(count) or run_chunks(fn, count))
+        monkeypatch.setattr(T, "_SAVED_CHUNK_ROWS", 4 * 3)  # 4 sequences of 3 patches a chunk
         monkeypatch.setattr(T, "_WORKERS", 1)
+        rng = np.random.default_rng(11)
+        args = _encoder_args(rng, 4, 2, 6)[:-1] + (0.0,)
+        x = Tensor(rng.standard_normal((12, 3, 4)))
+        if which == "x":
+            assert grad_check(lambda leaf: _encoder_loss(leaf, args), x) < 1e-6
+        else:
+            def f(leaf):
+                return _encoder_loss(x, args[:4] + ((leaf, *args[4][1:]),) + args[5:])
+
+            assert grad_check(f, Tensor(args[4][0].data)) < 1e-6
+        assert set(counts) == {3, 10} and counts.count(10) == 1  # one backward; every other call in 3 chunks
+
+    def test_worker_error_surfaces_after_the_join(self, monkeypatch):
+        """A row chunk, then a parameter product, raises on a pool thread while the caller
+        is held back: backward raises only after every other call has finished, the
+        layer sums nothing, and the next backward gives the serial bytes."""
+        monkeypatch.setattr(T, "_WORKERS", 3)
+        monkeypatch.setattr(T, "_SAVED_CHUNK_ROWS", 4 * 4)  # 3 chunks of 4 sequences
         rng = np.random.default_rng(5)
         args = _encoder_args(rng, 8, 2, 16)
-        x = Tensor(rng.standard_normal((3, 4, 8)))
-        leaves = _leaves(args)
-        real, started, finished, calls = T._accum_product, threading.Event(), [], []
-
-        def boom(*a):
-            started.set()
-            raise RuntimeError("injected")
-
-        def slow(*a):
-            started.set()
-            time.sleep(0.05)
-            finished.append(1)
-            return calls[1][0](*a)
-
-        def flaky(targets, fn, *a):
-            calls.append((fn,))
-            started.clear()
-            real(targets, {1: boom, 2: slow}.get(len(calls), fn), *a)
-            if len(calls) <= 2:
-                assert started.wait(10)  # a pool thread has taken it
-
-        monkeypatch.setattr(T, "_accum_product", flaky)
-        with pytest.raises(RuntimeError, match="injected"):
-            _encoder_loss(x, args).backward()
-        assert finished == [1]
-        assert T._deferred.get() is None
-        assert all(t.grad is None for t in leaves)
-
-        monkeypatch.setattr(T, "_accum_product", real)
+        x = Tensor(rng.standard_normal((12, 4, 8)), requires_grad=True)
+        leaves = [x, *_leaves(args)]
         expected = _grad_bytes(0, lambda: _encoder_loss(x, args), leaves)
-        assert _grad_bytes(1, lambda: _encoder_loss(x, args), leaves) == expected
+        run_chunks = T._run_chunks
+        for phase, count in ((1, 3), (2, 10)):  # 0 is the forward
+            calls, finished, lock, failed = [], [], threading.Lock(), threading.Event()
 
-    def test_walk_error_waits_for_started_products(self, monkeypatch):
-        """An op below the encoder fails in its VJP after the encoder's products were
-        queued: that error surfaces, and no leaf grad is summed."""
-        monkeypatch.setattr(T, "_WORKERS", 1)
+            def flaky(fn):
+                def call(i):
+                    if threading.current_thread() is threading.main_thread():
+                        assert failed.wait(10)  # hold the caller back until a worker has failed
+                    else:
+                        with lock:
+                            first = not failed.is_set()
+                            failed.set()
+                        if first:
+                            raise RuntimeError("injected")
+                        time.sleep(0.01)  # a slow call, still running if the caller did not wait
+                    fn(i)
+                    finished.append(i)
+
+                return call
+
+            def patched(fn, n):
+                calls.append(n)
+                return run_chunks(flaky(fn) if len(calls) - 1 == phase else fn, n)
+
+            monkeypatch.setattr(T, "_run_chunks", patched)
+            T.zero_grad(dict(enumerate(leaves)))
+            with pytest.raises(RuntimeError, match="injected"):
+                _encoder_loss(x, args).backward()
+            assert calls[phase] == count and len(finished) == count - 1
+            assert all(t.grad is None for t in leaves)
+            monkeypatch.setattr(T, "_run_chunks", run_chunks)
+            assert _grad_bytes(3, lambda: _encoder_loss(x, args), leaves) == expected
+
+    def test_walk_error_leaves_partial_grads(self, monkeypatch):
+        """An op below the encoder fails in its VJP: that error surfaces, a retry raises,
+        and the grads summed before it stay, the same bytes for any worker count."""
         rng = np.random.default_rng(7)
         args = _encoder_args(rng, 8, 2, 16)
         src = Tensor(rng.standard_normal((3, 4, 8)), requires_grad=True)
+        leaves = _leaves(args)
 
         def fail(g):
             raise KeyError("walk")
 
-        x = T._result(src.data.copy(), (src,), fail)
-        with pytest.raises(KeyError, match="walk"):
-            _encoder_loss(x, args).backward()
-        assert T._deferred.get() is None
-        assert all(t.grad is None for t in [src, *_leaves(args)])
+        partial = []
+        for workers in (0, 1):
+            monkeypatch.setattr(T, "_WORKERS", workers)
+            T.zero_grad(dict(enumerate([src, *leaves])))
+            loss = _encoder_loss(T._result(src.data.copy(), (src,), fail), args)
+            with pytest.raises(KeyError, match="walk"):
+                loss.backward()
+            with pytest.raises(RuntimeError, match="already ran"):
+                loss.backward()
+            assert src.grad is None and all(t.grad is not None for t in leaves)
+            partial.append([t.grad.tobytes() for t in leaves])
+        assert partial[1] == partial[0]
 
     @pytest.mark.parametrize("blas, workers", [("1", 3), ("unset", 0), ("4", 0)])
     def test_pool_only_beside_a_one_thread_blas(self, monkeypatch, blas, workers):
@@ -1074,7 +1083,7 @@ class TestPooledBackward:
         assert T._workers() == 2
 
     def test_forked_child_runs_its_own_products(self, monkeypatch):
-        """A fork copies the pool but not its threads: the join runs every queued product itself."""
+        """A fork copies the pool but not its threads: the child runs every chunk and product itself."""
         monkeypatch.setattr(T, "_WORKERS", 1)
         T._run_chunks(lambda i: None, 2)  # the pool is started in this process
         child = multiprocessing.get_context("fork").Process(target=_backward_in_child)

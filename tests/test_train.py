@@ -188,18 +188,18 @@ class TestTrainLoop:
         train_loop(model, toy_samples(40), toy_samples(12, seed=1), TrainConfig(max_epochs=2, batch_size=8))
         assert len(roots) == 10
 
-    @pytest.mark.parametrize("cfg, saved_floats", [
+    @pytest.mark.parametrize("cfg, saved_rows", [
         (ModelConfig(), None), (ModelConfig.reference_preset(encoder_layers=2), None),
-        (ModelConfig(dropout_rate=0.0), None), (ModelConfig.reference_preset(encoder_layers=2), 2**16),
+        (ModelConfig(dropout_rate=0.0), None), (ModelConfig.reference_preset(encoder_layers=2), 4 * 14),
     ], ids=["default", "reference", "no_dropout", "reference_split"])
-    def test_same_bytes_for_any_worker_count(self, monkeypatch, cfg, saved_floats):
-        """The backward's parameter products run on pool threads, and every leaf grad is
-        summed in walk order: params and history are the serial run's bytes.  At
-        ``dropout_rate=0`` the wo product reads the array the input chain goes on from.
-        With ``saved_floats`` the recorded forward of each 16-window batch (32 sequences of
-        14 patches) splits into chunks of 4 sequences, shared with the pool."""
-        if saved_floats is not None:
-            monkeypatch.setattr(T, "_SAVED_CHUNK_FLOATS", saved_floats)
+    def test_same_bytes_for_any_worker_count(self, monkeypatch, cfg, saved_rows):
+        """The backward's parameter products run on pool threads, and every grad is summed
+        on the caller in walk order: params and history are the serial run's bytes.  At
+        ``dropout_rate=0`` the chunks scale the attention-output grad by 1, not a mask.
+        With ``saved_rows`` the recorded forward and the backward of each 16-window batch
+        (32 sequences of 14 patches) split into chunks of 4 sequences, shared with the pool."""
+        if saved_rows is not None:
+            monkeypatch.setattr(T, "_SAVED_CHUNK_ROWS", saved_rows)
         train, val = toy_samples(48, lookback=cfg.lookback, seed=12), toy_samples(16, lookback=cfg.lookback, seed=13)
         runs = []
         for workers in (0, 1, 3):
