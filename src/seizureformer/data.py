@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import csv
 import datetime
+import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -55,35 +57,52 @@ class DailyRecord:
                 raise DataError(f"{name} must be non-negative and below 2**63, got {value} on {self.date}")
 
 
-@dataclass
 class PatientSeries:
-    """One patient's days: ``records`` as a tuple, and the read-only arrays built from it once,
-    ``dates`` (T,) datetime64[D] and ``counts`` (T, 3) int64 as ab_ch1, ab_ch2, le_count."""
+    """One patient's days as two read-only arrays: ``dates`` (T,) datetime64[D], strictly
+    increasing, and ``counts`` (T, 3) int64 as ab_ch1, ab_ch2, le_count.  Built from
+    ``DailyRecord``s or by ``from_arrays``; ``records`` is a tuple derived on first read."""
 
-    patient_id: str
-    records: tuple[DailyRecord, ...]
-    dates: np.ndarray = field(init=False, compare=False, repr=False)
-    counts: np.ndarray = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        self.records = tuple(self.records)
-        ordinals = np.fromiter((r.date.toordinal() for r in self.records), np.int64, len(self.records))
-        self.dates = (ordinals - EPOCH_ORDINAL).astype("datetime64[D]")
-        rows = [(r.ab_ch1, r.ab_ch2, r.le_count) for r in self.records]
+    def __init__(self, patient_id: str, records: Iterable[DailyRecord]):
+        records = tuple(records)
+        rows = [(r.ab_ch1, r.ab_ch2, r.le_count) for r in records]
         counts = np.array(rows).reshape(-1, 3)
         if counts.size and counts.dtype.kind not in "biu":  # one dtype check; records are searched only on failure
-            for r in self.records:
+            for r in records:
                 for name in ("ab_ch1", "ab_ch2", "le_count"):
                     if not isinstance(value := getattr(r, name), (int, np.integer)):
                         raise DataError(f"{name} must be an integer, got {value} on {r.date}")
             counts = np.array(rows, np.int64)  # integer types numpy unites only as float, e.g. uint64 with int64
-        self.counts = counts.astype(np.int64, copy=False).reshape(-1, 3)
+        ordinals = np.fromiter((r.date.toordinal() for r in records), np.int64, len(records))
+        self._set(patient_id, ordinals - EPOCH_ORDINAL, counts)
+
+    @classmethod
+    def from_arrays(cls, patient_id: str, days: np.ndarray, counts: np.ndarray) -> PatientSeries:
+        """A series over ``days`` (datetime64[D], or int days since 1970-01-01) and their (T, 3)
+        ``counts``, copied as they are: only the date order is checked."""
+        series = cls.__new__(cls)
+        series._set(patient_id, days, counts)
+        return series
+
+    def _set(self, patient_id: str, days: np.ndarray, counts: np.ndarray) -> None:
+        self.patient_id = patient_id
+        self.dates = np.asarray(days).astype("datetime64[D]")
+        self.counts = np.array(counts, np.int64).reshape(-1, 3)
         self.dates.flags.writeable = self.counts.flags.writeable = False
-        for i in np.flatnonzero(np.diff(ordinals) <= 0)[:1]:  # the first pair out of order
+        for i in np.flatnonzero(np.diff(self.dates) <= np.timedelta64(0, "D"))[:1]:  # the first pair out of order
             raise DataError(f"dates must be strictly increasing; saw {self.dates[i]} then {self.dates[i + 1]}")
 
+    @functools.cached_property
+    def records(self) -> tuple[DailyRecord, ...]:
+        return tuple(map(DailyRecord, self.dates.tolist(), *self.counts.T.tolist()))
+
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.dates)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PatientSeries):
+            return NotImplemented
+        return (self.patient_id == other.patient_id and np.array_equal(self.dates, other.dates)
+                and np.array_equal(self.counts, other.counts))
 
 
 @dataclass
@@ -150,6 +169,21 @@ def parse_csv(path: str | Path, patient_id: str | None = None) -> tuple[PatientS
     and flagged in the report; duplicate dates are rejected; a UTF-8 BOM is skipped.
     """
     path = Path(path)
+    ordinals, values, lines = [], [], []  # per complete row: its day's ordinal, its three counts, its line
+
+    def check_counts(rows: int) -> np.ndarray:
+        """The first ``rows`` rows' counts as (rows, 3) int64; the first one out of range is an error."""
+        flat = values[: 3 * rows]
+        try:
+            counts = np.array(flat, np.int64).reshape(-1, 3)
+            bad = np.flatnonzero(counts.ravel() < 0)[:1].tolist()
+        except OverflowError:  # some count is out of int64's range: find the first bad one of either kind
+            bad = [next(i for i, v in enumerate(flat) if not 0 <= v < 2**63)]
+        for i in bad:
+            raise DataError(f"{path}:{lines[i // 3]}: {CSV_HEADER[1 + i % 3]} must be non-negative and below 2**63, "
+                            f"got {flat[i]} on {datetime.date.fromordinal(ordinals[i // 3])}") from None
+        return counts
+
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -158,25 +192,32 @@ def parse_csv(path: str | Path, patient_id: str | None = None) -> tuple[PatientS
             raise DataError(f"{path}: empty file") from None
         if [h.strip() for h in header] != CSV_HEADER:
             raise DataError(f"{path}: expected header {','.join(CSV_HEADER)}, got {','.join(header)}")
-        records = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 4:
-                raise DataError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            try:  # DailyRecord's own DataError (a negative count) is a ValueError too
-                records.append(DailyRecord(datetime.date.fromisoformat(row[0].strip()), *(int(v) for v in row[1:])))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
+        try:
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != 4:
+                    if not row or (len(row) == 1 and not row[0].strip()):
+                        continue
+                    raise DataError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
+                try:
+                    ordinals.append(datetime.date.fromisoformat(row[0].strip()).toordinal())
+                    values += (int(row[1]), int(row[2]), int(row[3]))
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: {exc}") from None
+                lines.append(lineno)
+        except (ValueError, csv.Error):  # a bad count on an earlier row comes first, as row by row
+            check_counts(len(lines))
+            raise
+    counts = check_counts(len(lines))
 
-    ordered = sorted(records, key=lambda r: r.date)
+    days = np.array(ordinals, np.int64)
+    order = np.argsort(days, kind="stable")
     try:
-        series = PatientSeries(patient_id or path.stem, ordered)
+        series = PatientSeries.from_arrays(patient_id or path.stem, days[order] - EPOCH_ORDINAL, counts[order])
     except DataError as exc:  # once sorted, only a repeated date breaks the order
         raise DataError(f"{path}: duplicate date ({exc})") from None
     gaps = np.flatnonzero(np.diff(series.dates) > np.timedelta64(1, "D"))
-    pairs = [(ordered[i].date, ordered[i + 1].date) for i in gaps.tolist()]
-    return series, ParseReport(reordered=ordered != records, gaps=pairs)
+    pairs = [(series.dates[i].item(), series.dates[i + 1].item()) for i in gaps.tolist()]
+    return series, ParseReport(reordered=bool(np.any(np.diff(days) < 0)), gaps=pairs)
 
 
 def write_csv(series: PatientSeries, path: str | Path) -> None:
@@ -191,7 +232,7 @@ def zscore_normalize(series: PatientSeries) -> NormalizedSeries:
     A flat channel (sigma == 0) maps to all-zero scores with a warning rather
     than an error; flat telemetry does occur.
     """
-    if not series.records:
+    if not len(series):
         raise DataError("cannot normalize an empty series")
     counts = series.counts[:, :2].astype(np.float64)
     mu = counts.mean(axis=0)
@@ -221,7 +262,7 @@ def label_days(
     days with fewer than ``min_history`` prior days stay unlabeled.  Ties go
     to low risk.
     """
-    if not series.records:
+    if not len(series):
         raise DataError("cannot label an empty series")
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")

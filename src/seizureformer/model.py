@@ -107,6 +107,9 @@ class ModelConfig:
             raise ValueError("configuration yields no patches")
         if self.channels < 1:
             raise ValueError("need at least one channel")
+        for key in ("embed_dim", "heads"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.embed_dim % self.heads != 0:
             raise ValueError(f"embed_dim {self.embed_dim} must divide evenly into {self.heads} heads")
         if not self.kernel_sizes or any(k < 1 for k in self.kernel_sizes):
@@ -289,8 +292,8 @@ def forward(
 ) -> Tensor:
     """Full network over a (batch, channels, lookback) array -> (batch, 1)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3 or x.shape[1] != cfg.channels or x.shape[2] != cfg.lookback:
-        raise ValueError(f"expected batch of shape (B, {cfg.channels}, {cfg.lookback}), got {x.shape}")
+    if x.ndim != 3 or x.shape[1:] != (cfg.channels, cfg.lookback) or not len(x):
+        raise ValueError(f"expected batch of shape (B, {cfg.channels}, {cfg.lookback}) with B >= 1, got {x.shape}")
     batch = x.shape[0]
 
     patches = patchify(Tensor(x), cfg.patch_length, cfg.stride)  # (B, d, p, P)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DailyRecord, PatientSeries
+from .data import PatientSeries
 
 START_DATE = datetime.date(2015, 1, 1)
 AR_COEFF = 0.8  # slow-moving residual state, not white noise
@@ -94,9 +94,8 @@ def generate_patient(cfg: SynthConfig) -> PatientSeries:
     ab1, ab2_raw, le = _poisson_icdf(np.stack([ab_rate, ab_rate, cfg.le_gain * risk], axis=1), u).T
     # np.rint, like Python's round, takes halves to even
     ab2 = np.rint(cfg.channel_correlation * ab1 + (1.0 - cfg.channel_correlation) * ab2_raw).astype(np.int64)
-    days = (START_DATE + datetime.timedelta(days=i) for i in range(cfg.days))
-    records = [DailyRecord(*row) for row in zip(days, ab1.tolist(), ab2.tolist(), le.tolist())]
-    return PatientSeries(f"synth-{cfg.seed}", records)
+    days = np.datetime64(START_DATE, "D") + np.arange(cfg.days)
+    return PatientSeries.from_arrays(f"synth-{cfg.seed}", days, np.stack([ab1, ab2, le], axis=1))
 
 
 def generate_cohort(seeds: list[int], template: SynthConfig | None = None) -> list[PatientSeries]:

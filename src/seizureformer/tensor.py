@@ -37,8 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 Array = np.ndarray
 
 _CONV2D_CHUNK = 32  # batch slices per step of conv2d's kernel-grad sum
-_CHUNK_FLOATS = 2**16  # (rows, ffn) hidden floats per no-grad encoder chunk: 512 KB, well inside a 2 MB L2
-_SAVED_CHUNK_ROWS = 1024  # per recorded chunk, forward and backward: two at default widths and batch 64
+_CHUNK_ROWS = 1024  # per encoder chunk, forward and backward: two at default widths and batch 64
 _WORKERS: int | None = None  # pool threads beside the caller; None: see _workers()
 # as this process started, when the BLAS read it; bytes depend on the BLAS thread count
 BLAS_THREADS = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS") or "unset"
@@ -470,10 +469,9 @@ def encoder_layer(
     ``heads`` holds each head's (wq, wk, wv), packed per call into one (d, 3d) GEMM;
     the heads run batched as (N, h, p, dk).  ``ffn`` is (w1, b1, w2, b2).  Keep-masks
     are drawn as ``dropout`` draws them, attention first; each head's (N, p, p)
-    softmax goes to ``attn_sink``.  The forward runs in even chunks of at most
-    ``_CHUNK_FLOATS // (p * ffn_dim)`` sequences, shared with the pool (``_run_chunks``).
-    When a graph is recorded, the even split takes ``_SAVED_CHUNK_ROWS // p`` sequences
-    at most, its interior bounds moved down to multiples of 4 sequences, and each chunk
+    softmax goes to ``attn_sink``.  The forward splits the sequences evenly into chunks
+    of at most ``_CHUNK_ROWS // p``, shared with the pool (``_run_chunks``), with interior
+    bounds moved down to multiples of 4 sequences; when a graph is recorded, each chunk
     writes its rows of every activation the VJP reads in place.  The VJP runs the
     input-gradient chain over the same chunks, then the parameter grads as whole-batch
     products side by side, and sums every grad on the caller.  Rows are independent and
@@ -490,13 +488,11 @@ def encoder_layer(
     parents = (x, *ln1, *weights, wo, *ln2, *ffn)
     keep1, keep2 = (_keep_mask((n * p, d), dropout_rate, training, rng) for _ in range(2))
     recorded = _recording.get() and any(t.requires_grad for t in parents)
-    # no-grad chunks keep their (rows, ffn) hidden inside L2; nothing reduces over rows.  Recorded
     # bounds fall on whole units of 4 sequences: the VJP's row-mean GEMVs round a call's last
-    # rows by the call's length mod 4, so a chunk must end where the whole batch would.
-    unit = 4 if recorded else 1
-    units, step = -(-n // unit), (_SAVED_CHUNK_ROWS if recorded else _CHUNK_FLOATS // ffn_dim) // p
-    parts = min(units, -(-n // max(1, step)))
-    bounds = [min(n, unit * (units * i // parts)) for i in range(parts + 1)]  # even: no lone row takes numpy's vector path
+    # rows by the call's length mod 4, so a chunk must end where the whole batch would
+    units = -(-n // 4)
+    parts = min(units, -(-n // max(1, _CHUNK_ROWS // p)))
+    bounds = [min(n, 4 * (units * i // parts)) for i in range(parts + 1)]  # even: no lone row takes numpy's vector path
     # what the VJP reads, full-size; unrecorded, each chunk makes its own rows
     n1, xhat1, inv1, qkv, ctx, n2, xhat2, inv2, hidden = (
         np.empty((n * p, width)) if recorded else None for width in (d, d, 1, 3 * d, d, d, d, 1, ffn_dim))
@@ -525,6 +521,7 @@ def encoder_layer(
         c = np.empty(xs.shape) if ctx is None else ctx[rows]
         np.matmul(s, v, out=c.reshape(-1, p, h, dk).transpose(0, 2, 1, 3))  # the heads side by side
         x1 = c @ wo.data
+        del q, k, v, s, c  # an unrecorded chunk's scratch goes before the FFN's (rows, ffn) hidden
         if keep1 is not None:
             x1 *= keep1[rows]
         x1 += xs

@@ -26,6 +26,10 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# glibc returns a freed heap top to the OS, so every training step and eval batch faults its
+# temporaries in again, until freeing a block of several MB raises its trim threshold: free 8 MB once
+np.empty(2**20)
+
 
 @dataclass
 class TrainConfig:
@@ -147,11 +151,6 @@ def train_loop(
     params = model.params
     best_auc = -math.inf
     best: dict[str, np.ndarray] = {}
-    # glibc returns a freed heap top to the OS, so every step faults its temporaries in
-    # again, until freeing a block of several MB raises its trim threshold: free 8 MB now
-    primer = np.empty(2**20)
-    del primer
-
     for epoch in range(cfg.max_epochs):
         order = rng.permutation(len(train_samples))
         loss_sum = 0.0

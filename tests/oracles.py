@@ -13,7 +13,8 @@ no fused bias) with the encoder built from it and ``transpose_last2``, the
 ``softmax`` op and the graph-level encoder built from it (replaced by the
 fused ``encoder_layer``), the recorded ``encoder_layer`` as one pass over
 all rows with its one-pass VJP and the accumulating layer-norm VJP
-(replaced by row chunks shared with the pool), the per-day
+(replaced by row chunks shared with the pool), the record-by-record
+``parse_csv`` (replaced by one pass that fills the series' arrays), the per-day
 ``label_days`` loop, the per-anchor ``make_windows`` loop and the list-based ``split_chronological`` (replaced
 by array ops on a ``WindowSet``), the pairwise gap loop over records
 (replaced by one diff over ``PatientSeries.dates``), the scalar Poisson
@@ -24,13 +25,15 @@ compared and scaled in place), and the tie-grouping loops of ``roc_auc`` /
 gradients live here too, since only tests evaluate them.
 """
 
+import csv
 import datetime
 import math
+from pathlib import Path
 
 import numpy as np
 
 from seizureformer import tensor as T
-from seizureformer.data import DataError, WindowSample
+from seizureformer.data import CSV_HEADER, DailyRecord, DataError, ParseReport, PatientSeries, WindowSample
 
 
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -373,6 +376,36 @@ def one_shot_encoder_layer(x: T.Tensor, ln1, heads, wo: T.Tensor, ln2, ffn, eps:
         T._accum(x, gx.reshape(x.data.shape))
 
     return T._result(out.reshape(n, p, d), parents, vjp)
+
+
+def record_parse_csv(path, patient_id=None) -> tuple:
+    """The canonical CSV read one validated ``DailyRecord`` per row, sorted, then checked as a series."""
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        if [h.strip() for h in header] != CSV_HEADER:
+            raise DataError(f"{path}: expected header {','.join(CSV_HEADER)}, got {','.join(header)}")
+        records = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 4:
+                raise DataError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
+            try:  # DailyRecord's own DataError (a negative count) is a ValueError too
+                records.append(DailyRecord(datetime.date.fromisoformat(row[0].strip()), *(int(v) for v in row[1:])))
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
+
+    ordered = sorted(records, key=lambda r: r.date)
+    try:
+        series = PatientSeries(patient_id or path.stem, ordered)
+    except DataError as exc:  # once sorted, only a repeated date breaks the order
+        raise DataError(f"{path}: duplicate date ({exc})") from None
+    return series, ParseReport(reordered=ordered != records, gaps=pairwise_gaps(ordered))
 
 
 def loop_label_days(le: np.ndarray, window: int, fraction: float, min_history: int) -> np.ndarray:

@@ -116,6 +116,13 @@ class TestRunConfig:
         assert code == 1
         assert "error: weight_decay must be finite and >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", ["heads=0", "heads=-2", "embed_dim=0"])
+    def test_width_below_one_exits_one_naming_the_key(self, synth_csv, tmp_path, capsys, override):
+        """Checked before ``embed_dim % heads``, which divides by zero at heads=0."""
+        code = main(["train", "--data", str(synth_csv), "--horizon", "1", "--out-dir", str(tmp_path), "--set", override])
+        assert code == 1
+        assert f"error: {override.partition('=')[0]} must be >= 1" in capsys.readouterr().err
+
 
 class TestTrainCommand:
     def test_writes_checkpoint_and_manifest(self, synth_csv, tmp_path):
@@ -220,7 +227,7 @@ class TestEvalCommand:
 
         monkeypatch.setattr(T, "_layer_norm_fwd", poison)
         monkeypatch.setattr(T, "_WORKERS", 1)
-        monkeypatch.setattr(T, "_CHUNK_FLOATS", 4 * 14 * 16)  # 4 sequences a chunk at FAST_TRAIN widths
+        monkeypatch.setattr(T, "_CHUNK_ROWS", 4 * 14)  # 4 sequences a chunk at FAST_TRAIN widths
         capsys.readouterr()
         code = main(["eval", "--data", str(synth_csv), "--checkpoint", str(trained_checkpoint), "--horizon", "1"])
         assert code == 3

@@ -24,7 +24,7 @@ from seizureformer.data import (
     zscore_normalize,
 )
 
-from oracles import list_split_chronological, loop_label_days, loop_make_windows, pairwise_gaps
+from oracles import list_split_chronological, loop_label_days, loop_make_windows, pairwise_gaps, record_parse_csv
 
 DAY0 = datetime.date(2020, 1, 1)
 
@@ -113,6 +113,78 @@ class TestParseCsv:
         reparsed, _ = parse_csv(a)
         data.write_csv(reparsed, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+def rarely(draw, p_in: int) -> bool:
+    """True about once in ``p_in`` draws (never when ``p_in`` is 0)."""
+    return p_in > 0 and draw(st.integers(0, p_in - 1)) == 0
+
+
+@st.composite
+def count_fields(draw, bad: int):
+    """A count as a CSV field, in range and in any form int() takes; about once in ``bad``
+    draws out of int64's non-negative range, and as often no number at all."""
+    value = draw(st.sampled_from([2**63 - 1, 2**63, -1, -(2**63) - 1]) if rarely(draw, bad) else st.integers(0, 2000))
+    if rarely(draw, bad):
+        return draw(st.sampled_from(["oops", "1.5", "", "1e3", "0x10", "--1", "1 000"]))
+    form = draw(st.sampled_from(["plain", "plain", "plus", "underscore", "arabic", "padded", "quoted"]))
+    return {"plain": str(value), "plus": f"+{value}" if value >= 0 else str(value), "underscore": f"{value:_}",
+            "arabic": str(value).translate(ARABIC_INDIC), "padded": f"  {value}\t", "quoted": f'"{value}"'}[form]
+
+
+@st.composite
+def date_fields(draw, bad: int):
+    """A date as a CSV field: a day of a few months (so repeats, reorders and gaps happen) in
+    ISO, basic or ISO-week form, padded or quoted; about once in ``bad`` draws no date at all."""
+    if rarely(draw, bad):
+        return draw(st.sampled_from(["2020-02-30", "2020-13-01", "2020-1-1", "", "x", "2020-W54-1", "2020-02"]))
+    day = datetime.date(2020, 1, 20) + datetime.timedelta(days=draw(st.integers(0, 150)))
+    form = draw(st.sampled_from(["iso", "iso", "iso", "basic", "week", "padded", "quoted"]))
+    year, week, weekday = day.isocalendar()
+    return {"iso": day.isoformat(), "basic": day.strftime("%Y%m%d"), "week": f"{year}-W{week:02d}-{weekday}",
+            "padded": f" {day.isoformat()} ", "quoted": f'"{day.isoformat()}"'}[form]
+
+
+@st.composite
+def csv_lines(draw, bad: int):
+    """A data line: mostly a row of four fields, some blank or whitespace-only; about once in
+    ``bad`` draws a row of the wrong width."""
+    if rarely(draw, bad):
+        return draw(st.sampled_from(["2020-02-27,1,2", "2020-02-27,1,2,3,4", ",,,", "2020-02-27"]))
+    if rarely(draw, 6):
+        return draw(st.sampled_from(["", "   ", "\t"]))
+    return ",".join([draw(date_fields(bad)), *(draw(count_fields(bad)) for _ in range(3))])
+
+
+class TestParseAgainstRecords:
+    @given(
+        lines=st.sampled_from([0, 30, 8]).flatmap(lambda bad: st.lists(csv_lines(bad), max_size=12)),
+        bom=st.booleans(),
+        header=st.sampled_from(
+            ["date,ab_ch1,ab_ch2,le_count", " date , ab_ch1,ab_ch2 ,le_count", '"date",ab_ch1,ab_ch2,le_count']),
+        ending=st.sampled_from(["\n", "\r\n"]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_same_series_report_or_error(self, tmp_path_factory, lines, bom, header, ending):
+        """The array parse and the record-by-record one agree on every input: the same series
+        (arrays and records) and report, or the same DataError text."""
+        f = tmp_path_factory.mktemp("csv") / "p.csv"
+        f.write_bytes(b"\xef\xbb\xbf" * bom + ending.join([header, *lines, ""]).encode())
+        try:
+            expected = record_parse_csv(f)
+        except DataError as exc:
+            with pytest.raises(DataError) as got:
+                parse_csv(f)
+            assert str(got.value) == str(exc)
+            return
+        series, report = parse_csv(f)
+        assert series == expected[0] and report == expected[1]
+        assert series.records == expected[0].records
+        assert np.array_equal(series.dates, expected[0].dates) and np.array_equal(series.counts, expected[0].counts)
+        assert not series.dates.flags.writeable and not series.counts.flags.writeable
 
 
 class TestSeriesArrays:

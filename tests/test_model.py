@@ -463,6 +463,10 @@ class TestForward:
         with pytest.raises(ValueError, match="expected batch"):
             small_model().forward(np.zeros((2, 3, 16)))
 
+    def test_empty_batch_rejected_naming_the_shape(self):
+        with T.no_grad(), pytest.raises(ValueError, match=r"B >= 1, got \(0, 2, 16\)"):
+            small_model().forward(np.zeros((0, 2, 16)))
+
     def test_wpos_shared_across_channels(self):
         """Both channels receive the same positional table."""
         model = small_model(seed=5)

@@ -1,3 +1,4 @@
+import datetime
 import hashlib
 import math
 
@@ -91,6 +92,15 @@ class TestPoissonSampler:
         out = tmp_path / "p.csv"
         data.write_csv(generate_patient(SynthConfig(seed=seed, days=days, channel_correlation=correlation)), out)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_CSV_SHA256[seed, days, correlation]
+
+
+    def test_arrays_match_the_records_path(self):
+        """The series holds what zipping its days and draws into DailyRecords gave."""
+        series = generate_patient(SynthConfig(seed=11, days=400))
+        days = (synth.START_DATE + datetime.timedelta(days=i) for i in range(400))
+        records = [data.DailyRecord(*row) for row in zip(days, *series.counts.T.tolist())]
+        assert data.PatientSeries("synth-11", records) == series
+        assert series.records == tuple(records)
 
 
 class TestCohort:

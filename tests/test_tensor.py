@@ -611,7 +611,7 @@ class TestChunkedEncoder:
     @staticmethod
     def _sizes(data, p, ffn):
         """A sequence count: under one chunk, a whole number of chunks, or between."""
-        step = max(1, T._CHUNK_FLOATS // (p * ffn))
+        step = max(1, T._CHUNK_ROWS // p)
         return data.draw(st.one_of(st.integers(1, 3 * step + 1), st.sampled_from([max(1, step - 1), step + 1])), "n")
 
     @given(widths=st.sampled_from([(32, 128), (128, 1024)]), heads=st.sampled_from([1, 2, 4]), p=st.integers(1, 16),
@@ -643,7 +643,8 @@ class TestChunkedEncoder:
         assert_allclose(serial.data, oracle.data, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("ffn, d, heads", [(128, 32, 2), (1024, 128, 2)])  # defaults and reference_preset
-    @pytest.mark.parametrize("n", [1, 35, 36, 37, 300])  # 36 sequences a chunk at default widths
+    # 73 sequences a chunk at p = 14, 36 under eval's old rule
+    @pytest.mark.parametrize("n", [1, 35, 36, 37, 72, 73, 74, 300])
     def test_preset_widths(self, ffn, d, heads, n):
         rng = np.random.default_rng(n)
         self._compare(rng.standard_normal((n, 14, d)), _encoder_args(rng, d, heads, ffn), False, 0, 1)
@@ -652,7 +653,7 @@ class TestChunkedEncoder:
         """p = 1 and one sequence past a chunk: even chunks keep every GEMM at two or
         more rows, where a lone row would take numpy's matrix-vector path."""
         rng = np.random.default_rng(4)
-        self._compare(rng.standard_normal((T._CHUNK_FLOATS // 128 + 1, 1, 32)), _encoder_args(rng, 32, 2, 128),
+        self._compare(rng.standard_normal((T._CHUNK_ROWS + 1, 1, 32)), _encoder_args(rng, 32, 2, 128),
                       False, 0, 1)
 
     @pytest.mark.parametrize("workers", [1, 3])
@@ -662,7 +663,8 @@ class TestChunkedEncoder:
         rng = np.random.default_rng(3)
         args = _encoder_args(rng, 4, 2, 2048)
         x = rng.standard_normal((40, 8, 4))
-        parts = -(-40 // (T._CHUNK_FLOATS // (8 * 2048)))
+        monkeypatch.setattr(T, "_CHUNK_ROWS", 4 * 8)  # 10 chunks of 4 sequences
+        parts = 10
         fwd, lock, failed, calls = T._layer_norm_fwd, threading.Lock(), threading.Event(), []
 
         def flaky(*a):
@@ -753,7 +755,7 @@ def _layer_bytes(layer, x, args, training, seed, workers):
 class TestRecordedChunks:
     """The recorded forward runs in row chunks on pool threads too, each writing its rows
     of every activation the VJP reads in place, and the VJP's input-gradient chain runs
-    over the same chunks.  Most tests set ``_SAVED_CHUNK_ROWS`` small, so several chunks
+    over the same chunks.  Most tests set ``_CHUNK_ROWS`` small, so several chunks
     run at small shapes."""
 
     @staticmethod
@@ -762,7 +764,7 @@ class TestRecordedChunks:
         rng = np.random.default_rng(seed)
         x, args = rng.standard_normal((n, p, d)), _encoder_args(rng, d, heads, ffn)
         oracle = _layer_bytes(one_shot_encoder_layer, x, args, training, seed, 0)
-        with mock.patch.object(T, "_SAVED_CHUNK_ROWS", rows):
+        with mock.patch.object(T, "_CHUNK_ROWS", rows):
             runs = [_layer_bytes(T.encoder_layer, x, args, training, seed, w) for w in (0, 1, 3)]
         for run in runs[1:]:
             assert [a.tobytes() for a in run] == [a.tobytes() for a in runs[0]]
@@ -806,7 +808,7 @@ class TestRecordedChunks:
         layer's forward and backward take ``parts`` chunks, its products one call of 10."""
         counts, run_chunks = [], T._run_chunks
         monkeypatch.setattr(T, "_run_chunks", lambda fn, count: counts.append(count) or run_chunks(fn, count))
-        oracle, chunked = self._runs(d, 2, ffn, n, 14, T._SAVED_CHUNK_ROWS, True, n)
+        oracle, chunked = self._runs(d, 2, ffn, n, 14, T._CHUNK_ROWS, True, n)
         assert counts == [parts, parts, 10] * 3
         assert [a.tobytes() for a in chunked] == [a.tobytes() for a in oracle]
 
@@ -818,7 +820,7 @@ class TestRecordedChunks:
         args = _encoder_args(rng, 8, 2, 24)
         x = Tensor(rng.standard_normal((12, 5, 8)))
         leaves = _leaves(args)
-        monkeypatch.setattr(T, "_SAVED_CHUNK_ROWS", 4 * 5)  # 3 chunks of 4 sequences
+        monkeypatch.setattr(T, "_CHUNK_ROWS", 4 * 5)  # 3 chunks of 4 sequences
 
         def build():
             rng_d, h = np.random.default_rng(3), x
@@ -842,7 +844,7 @@ class TestRecordedChunks:
         rng = np.random.default_rng(3)
         args = _encoder_args(rng, 4, 2, 16)
         x = rng.standard_normal((40, 8, 4))
-        monkeypatch.setattr(T, "_SAVED_CHUNK_ROWS", 4 * 8)  # 10 chunks of 4 sequences
+        monkeypatch.setattr(T, "_CHUNK_ROWS", 4 * 8)  # 10 chunks of 4 sequences
         serial = _layer_bytes(T.encoder_layer, x, args, True, 1, 0)
         fwd, result, calls, nodes = T._layer_norm_fwd, T._result, [], []
         lock, failed = threading.Lock(), threading.Event()
@@ -991,7 +993,7 @@ class TestPooledBackward:
         the recorded layer split in three, forward and backward, on the pool."""
         counts, run_chunks = [], T._run_chunks
         monkeypatch.setattr(T, "_run_chunks", lambda fn, count: counts.append(count) or run_chunks(fn, count))
-        monkeypatch.setattr(T, "_SAVED_CHUNK_ROWS", 4 * 3)  # 4 sequences of 3 patches a chunk
+        monkeypatch.setattr(T, "_CHUNK_ROWS", 4 * 3)  # 4 sequences of 3 patches a chunk
         monkeypatch.setattr(T, "_WORKERS", 1)
         rng = np.random.default_rng(11)
         args = _encoder_args(rng, 4, 2, 6)[:-1] + (0.0,)
@@ -1010,7 +1012,7 @@ class TestPooledBackward:
         is held back: backward raises only after every other call has finished, the
         layer sums nothing, and the next backward gives the serial bytes."""
         monkeypatch.setattr(T, "_WORKERS", 3)
-        monkeypatch.setattr(T, "_SAVED_CHUNK_ROWS", 4 * 4)  # 3 chunks of 4 sequences
+        monkeypatch.setattr(T, "_CHUNK_ROWS", 4 * 4)  # 3 chunks of 4 sequences
         rng = np.random.default_rng(5)
         args = _encoder_args(rng, 8, 2, 16)
         x = Tensor(rng.standard_normal((12, 4, 8)), requires_grad=True)

@@ -199,7 +199,7 @@ class TestTrainLoop:
         With ``saved_rows`` the recorded forward and the backward of each 16-window batch
         (32 sequences of 14 patches) split into chunks of 4 sequences, shared with the pool."""
         if saved_rows is not None:
-            monkeypatch.setattr(T, "_SAVED_CHUNK_ROWS", saved_rows)
+            monkeypatch.setattr(T, "_CHUNK_ROWS", saved_rows)
         train, val = toy_samples(48, lookback=cfg.lookback, seed=12), toy_samples(16, lookback=cfg.lookback, seed=13)
         runs = []
         for workers in (0, 1, 3):
