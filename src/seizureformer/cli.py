@@ -105,6 +105,9 @@ def load_run_config(path: str | None = None, overrides: list[str] | None = None)
         setattr(owner, key, kv.parse_value(key, raw, kind))
     cfg.model.validate()
     cfg.train.validate()
+    for key in ("label_window", "label_fraction", "min_history"):  # the parser takes finite floats only
+        if getattr(cfg, key) <= 0:
+            raise ValueError(f"{key} must be positive, got {getattr(cfg, key)}")
     return cfg
 
 
@@ -116,6 +119,8 @@ def _build_samples(source: str | Path | PatientSeries, run_cfg: RunConfig, horiz
     """The windows of one patient, read from a CSV path or given as a series."""
     series = source if isinstance(source, PatientSeries) else parse_csv(source)[0]
     normalized = zscore_normalize(series)
+    if normalized.z.shape[1] != run_cfg.model.channels:
+        raise ValueError(f"channels is {run_cfg.model.channels}, but the data has {normalized.z.shape[1]} channels")
     labels = label_days(series, run_cfg.label_window, run_cfg.label_fraction, run_cfg.min_history)
     return make_windows(normalized, labels, run_cfg.model.lookback, horizon)
 

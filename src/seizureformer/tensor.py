@@ -65,8 +65,9 @@ class Tensor:
 
     ``requires_grad=True`` marks a leaf whose gradient should be populated by
     ``backward()``; tensors produced by operations inherit the flag from their
-    inputs.  Graphs are single-use: rerunning ``backward()`` on the same root
-    without rebuilding the graph is an error, even after a failed one.
+    inputs.  Graphs are single-use: rerunning ``backward()`` on the same root, or
+    reaching a spent ``encoder_layer`` from another root, without rebuilding the
+    graph is an error, even after a failed one.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_prev", "_vjp", "_backward_done", "__weakref__")
@@ -472,9 +473,13 @@ def encoder_layer(
     softmax goes to ``attn_sink``.  The forward splits the sequences evenly into chunks
     of at most ``_CHUNK_ROWS // p``, shared with the pool (``_run_chunks``), with interior
     bounds moved down to multiples of 4 sequences; when a graph is recorded, each chunk
-    writes its rows of every activation the VJP reads in place.  The VJP runs the
-    input-gradient chain over the same chunks, then the parameter grads as whole-batch
-    products side by side, and sums every grad on the caller.  Rows are independent and
+    writes its rows of what the VJP cannot rebuild to the same bytes in place: the LN1
+    and LN2 scales, q/k/v, the softmax maps, LN2's xhat and the FFN hidden; the masks
+    are kept as bool.  The VJP runs the input-gradient chain over the same chunks,
+    rebuilding LN1's xhat from ``x.data`` and both norms' outputs and the attention
+    context with the forward's own calls, then the parameter grads as whole-batch
+    products side by side, and sums every grad on the caller.  It writes the q/k/v grads
+    over q/k/v, so it consumes the graph: a second call raises.  Rows are independent and
     the bounds follow from the shapes, so the bytes never depend on the worker count;
     against one pass over all rows they differ only where the BLAS picks its GEMM
     kernel by row count."""
@@ -493,9 +498,9 @@ def encoder_layer(
     units = -(-n // 4)
     parts = min(units, -(-n // max(1, _CHUNK_ROWS // p)))
     bounds = [min(n, 4 * (units * i // parts)) for i in range(parts + 1)]  # even: no lone row takes numpy's vector path
-    # what the VJP reads, full-size; unrecorded, each chunk makes its own rows
-    n1, xhat1, inv1, qkv, ctx, n2, xhat2, inv2, hidden = (
-        np.empty((n * p, width)) if recorded else None for width in (d, d, 1, 3 * d, d, d, d, 1, ffn_dim))
+    # what the VJP reads and cannot rebuild to the same bytes, full-size; unrecorded, each chunk makes its own rows
+    inv1, qkv, xhat2, inv2, hidden = (
+        np.empty((n * p, width)) if recorded else None for width in (1, 3 * d, d, 1, ffn_dim))
     attn = np.empty((n, h, p, p)) if recorded or attn_sink is not None else None
     out = np.empty((n * p, d))
 
@@ -508,7 +513,7 @@ def encoder_layer(
             return None if a is None else a[rows]
 
         xs = x.data[lo:hi].reshape(-1, d)
-        normed = _layer_norm_fwd(xs, ln1[0].data, ln1[1].data, eps, at(n1), at(xhat1), at(inv1))[0]
+        normed = _layer_norm_fwd(xs, ln1[0].data, ln1[1].data, eps, None, None, at(inv1))[0]
         q, k, v = np.matmul(normed, wqkv, out=at(qkv)).reshape(-1, p, 3, h, dk).transpose(2, 0, 3, 1, 4)
         s = np.matmul(q, k.swapaxes(-1, -2), out=None if attn is None else attn[lo:hi])  # the softmax runs in place
         s *= scale
@@ -518,55 +523,71 @@ def encoder_layer(
         s -= amax
         np.exp(s, out=s)
         s /= s.sum(axis=-1, keepdims=True)
-        c = np.empty(xs.shape) if ctx is None else ctx[rows]
+        c = np.empty(xs.shape)
         np.matmul(s, v, out=c.reshape(-1, p, h, dk).transpose(0, 2, 1, 3))  # the heads side by side
         x1 = c @ wo.data
         del q, k, v, s, c  # an unrecorded chunk's scratch goes before the FFN's (rows, ffn) hidden
         if keep1 is not None:
-            x1 *= keep1[rows]
+            _drop(x1, keep1[rows], dropout_rate, x1)
         x1 += xs
-        normed = _layer_norm_fwd(x1, ln2[0].data, ln2[1].data, eps, at(n2), at(xhat2), at(inv2))[0]
+        normed = _layer_norm_fwd(x1, ln2[0].data, ln2[1].data, eps, None, at(xhat2), at(inv2))[0]
         hid = np.matmul(normed, w1.data, out=at(hidden))
         hid += b1.data
         np.maximum(hid, 0.0, out=hid)
         y = np.matmul(hid, w2.data, out=out[rows])
         y += b2.data
         if keep2 is not None:
-            y *= keep2[rows]
+            _drop(y, keep2[rows], dropout_rate, y)
         y += x1
 
     _run_chunks(chunk, parts)
     if attn_sink is not None:
         attn_sink.extend(Tensor(attn[:, j]) for j in range(h))
+    spent = False
 
     def vjp(g: Array) -> None:
+        nonlocal spent
+        if spent:  # the first call wrote the q, k and v grads over q, k and v
+            raise RuntimeError("encoder_layer's backward already ran for this graph; rebuild it first")
+        spent = True
         g = g.reshape(-1, d)
         gff = g if keep2 is None else np.empty(g.shape)
-        ghid, gn2, gatt, gqkv, gn1, gx = (np.empty((n * p, width)) for width in (ffn_dim, d, d, 3 * d, d, d))
+        ghid = np.empty((n * p, ffn_dim))
+        gn2, gatt, gn1, gx, n1, xhat1, n2, ctx = (np.empty((n * p, d)) for _ in range(8))
 
         def chunk_vjp(i: int) -> None:
-            """The input-gradient chain over sequences [lo, hi): writes their rows of every grad above."""
+            """The input-gradient chain over sequences [lo, hi): rebuilds their rows of ``n1``,
+            ``xhat1``, ``n2`` and ``ctx`` with the forward's own calls, so to the same bytes,
+            and writes their rows of every grad above, with gq, gk and gv over q, k and v."""
             lo, hi = bounds[i], bounds[i + 1]
             rows = slice(lo * p, hi * p)
-            gf = gff[rows] if keep2 is None else np.multiply(g[rows], keep2[rows], out=gff[rows])
+            xs = x.data[lo:hi].reshape(-1, d)
+            xh = np.subtract(xs, xs.mean(axis=-1, keepdims=True), out=xhat1[rows])
+            xh *= inv1[rows]
+            for xhat, (gamma, beta), normed in ((xh, ln1, n1[rows]), (xhat2[rows], ln2, n2[rows])):
+                np.multiply(xhat, gamma.data, out=normed)
+                normed += beta.data
+            gf = gff[rows] if keep2 is None else _drop(g[rows], keep2[rows], dropout_rate, gff[rows])
             gh = np.matmul(gf, w2.data.T, out=ghid[rows])
             gh *= hidden[rows] > 0
             gm = np.matmul(gh, w1.data.T, out=gn2[rows])
             gx1 = _layer_norm_vjp(gm, xhat2[rows], inv2[rows], ln2[0].data)
             gx1 += g[rows]
-            ga = np.multiply(gx1, 1.0 if keep1 is None else keep1[rows], out=gatt[rows])  # x * 1.0 is x, bit for bit
+            ga = (np.multiply(gx1, 1.0, out=gatt[rows]) if keep1 is None  # x * 1.0 is x, bit for bit
+                  else _drop(gx1, keep1[rows], dropout_rate, gatt[rows]))
             gctx = (ga @ wo.data.T).reshape(-1, p, h, dk).transpose(0, 2, 1, 3)
             q, k, v = qkv[rows].reshape(-1, p, 3, h, dk).transpose(2, 0, 3, 1, 4)
-            gq, gk, gv = gqkv[rows].reshape(-1, p, 3, h, dk).transpose(2, 0, 3, 1, 4)
             s = attn[lo:hi]
-            np.matmul(s.swapaxes(-1, -2), gctx, out=gv)
+            np.matmul(s, v, out=ctx[rows].reshape(-1, p, h, dk).transpose(0, 2, 1, 3))
             gs = np.matmul(gctx, v.swapaxes(-1, -2))  # softmax VJP: s * (g - sum(g * s)) * scale
+            np.matmul(s.swapaxes(-1, -2), gctx, out=v)  # gv, now that nothing reads v
             gs -= (gs * s).sum(axis=-1, keepdims=True)
             gs *= s
             gs *= scale
-            np.matmul(gs, k, out=gq)
-            np.matmul(gs.swapaxes(-1, -2), q, out=gk)
-            gm = np.matmul(gqkv[rows], wqkv.T, out=gn1[rows])
+            gq = gs @ k  # gk reads q, so gq waits in a chunk-local temporary
+            np.matmul(gs.swapaxes(-1, -2), q, out=k)
+            q[...] = gq
+            gm = np.matmul(qkv[rows], wqkv.T, out=gn1[rows])
             np.add(_layer_norm_vjp(gm, xhat1[rows], inv1[rows], ln1[0].data), gx1, out=gx[rows])
 
         _run_chunks(chunk_vjp, parts)
@@ -574,7 +595,7 @@ def encoder_layer(
         products = [((b2,), lambda: gff.sum(axis=0)), ((w2,), lambda: hidden.T @ gff),
                     ((b1,), lambda: ghid.sum(axis=0)), ((w1,), lambda: n2.T @ ghid),
                     ((ln2[0],), lambda: (gn2 * xhat2).sum(axis=0)), ((ln2[1],), lambda: gn2.sum(axis=0)),
-                    ((wo,), lambda: ctx.T @ gatt), (weights, lambda: n1.T @ gqkv),
+                    ((wo,), lambda: ctx.T @ gatt), (weights, lambda: n1.T @ qkv),
                     ((ln1[0],), lambda: (gn1 * xhat1).sum(axis=0)), ((ln1[1],), lambda: gn1.sum(axis=0))]
         products = [(targets, fn) for targets, fn in products if any(t.requires_grad for t in targets)]
         grads = [None] * len(products)
@@ -626,17 +647,22 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
 
 
 def _keep_mask(shape: tuple[int, ...], rate: float, training: bool, rng: np.random.Generator | None) -> Array | None:
-    """Inverted-dropout multipliers (0 or 1/(1-rate)), or None when dropout is the identity."""
+    """Inverted dropout's survivors as a bool array (see ``_drop``), or None when dropout is the identity."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return None
     if rng is None:
         raise ValueError("training-mode dropout needs an explicit rng")
-    keep = rng.random(shape)
-    np.greater_equal(keep, rate, out=keep)
-    keep *= 1.0 / (1.0 - rate)
-    return keep
+    return rng.random(shape) >= rate
+
+
+def _drop(a: Array, keep: Array, rate: float, out: Array | None = None) -> Array:
+    """``a`` times the multipliers 0 and 1/(1-rate), as a * keep * (1/(1-rate)): x * 1.0 is x,
+    so the bytes are those of one product with float multipliers, at an eighth of their memory."""
+    out = np.multiply(a, keep, out=out)
+    out *= 1.0 / (1.0 - rate)
+    return out
 
 
 def dropout(a: Tensor, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
@@ -644,12 +670,11 @@ def dropout(a: Tensor, rate: float, training: bool, rng: np.random.Generator | N
     keep = _keep_mask(a.data.shape, rate, training, rng)
     if keep is None:
         return a
-    data = a.data * keep
 
     def vjp(g: Array) -> None:
-        _accum(a, g * keep)
+        _accum(a, _drop(g, keep, rate))
 
-    return _result(data, (a,), vjp)
+    return _result(_drop(a.data, keep, rate), (a,), vjp)
 
 
 # -- convolutions ----------------------------------------------------------

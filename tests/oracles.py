@@ -252,7 +252,7 @@ def softmax(a: T.Tensor) -> T.Tensor:
 
 
 def keep_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Training-mode inverted-dropout multipliers as ``tensor._keep_mask`` drew them."""
+    """Training-mode inverted-dropout multipliers, 0 or 1/(1-rate), from the draws ``tensor._keep_mask`` makes."""
     return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
@@ -315,7 +315,7 @@ def one_shot_encoder_layer(x: T.Tensor, ln1, heads, wo: T.Tensor, ln2, ffn, eps:
     wqkv = np.concatenate([w.data for w in weights], axis=1)
     scale = 1.0 / np.sqrt(dk)
     parents = (x, *ln1, *weights, wo, *ln2, *ffn)
-    keep1, keep2 = (T._keep_mask((n * p, d), dropout_rate, training, rng) for _ in range(2))
+    keep1, keep2 = (keep_mask((n * p, d), dropout_rate, rng) if training and dropout_rate else None for _ in range(2))
     out = np.empty((n * p, d))
 
     xs = x.data.reshape(-1, d)

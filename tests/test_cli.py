@@ -123,6 +123,22 @@ class TestRunConfig:
         assert code == 1
         assert f"error: {override.partition('=')[0]} must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override, message", [
+        ("seed=-1", "seed must be >= 0, got -1"),  # numpy's own message named no key
+        ("channels=3", "channels is 3, but the data has 2 channels"),  # was a model-shape message
+        ("channels=1", "channels is 1, but the data has 2 channels"),
+        ("label_window=0", "label_window must be positive, got 0"),  # was "window must be >= 1"
+        ("label_fraction=0", "label_fraction must be positive, got 0.0"),
+        ("label_fraction=-0.5", "label_fraction must be positive, got -0.5"),
+        ("min_history=0", "min_history must be positive, got 0"),
+    ])
+    def test_out_of_range_value_exits_one_naming_the_key(self, synth_csv, tmp_path, capsys, override, message):
+        out = tmp_path / "run"
+        code = main(["train", "--data", str(synth_csv), "--horizon", "1", "--out-dir", str(out), "--set", override])
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainCommand:
     def test_writes_checkpoint_and_manifest(self, synth_csv, tmp_path):

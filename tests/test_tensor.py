@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -382,10 +383,11 @@ class TestDropout:
            rate=st.one_of(st.sampled_from([0.2, 0.5, 0.9]), st.floats(1e-6, 0.999)), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_keep_mask_matches_compare_then_divide(self, shape, rate, seed):
-        """Drawn, compared and scaled in place: the same bytes as the one-expression
-        mask, and the generator left at the same state."""
+        """Drawn as bool survivors and applied as ``_drop`` applies them: the same multipliers
+        as the one-expression mask, and the generator left at the same state."""
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert T._keep_mask(shape, rate, True, rng).tobytes() == keep_mask(shape, rate, ref_rng).tobytes()
+        multipliers = T._drop(np.ones(shape), T._keep_mask(shape, rate, True, rng), rate)
+        assert multipliers.tobytes() == keep_mask(shape, rate, ref_rng).tobytes()
         assert rng.random() == ref_rng.random()
 
 
@@ -1095,3 +1097,97 @@ class TestPooledBackward:
         if alive:
             child.kill()
         assert not alive and child.exitcode == 0
+
+
+class TestLeanRecordedLayer:
+    """The recorded layer keeps only what its VJP cannot rebuild to the same bytes, and
+    the VJP writes the q/k/v grads over q/k/v: the graph is consumed by its first use."""
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_reference_width_floats_per_row(self, workers):
+        """256 sequences of 14 at reference_preset widths, dropout 0.2: the saved state and
+        the forward+backward peak, in float64s per row, as tracemalloc counts numpy's buffers.
+        Keeping every activation and float keep-masks took about 2,476 and 4,872."""
+        rng = np.random.default_rng(0)
+        args = _encoder_args(rng, 128, 2, 1024)[:-1] + (0.2,)
+        x, rows = Tensor(rng.standard_normal((256, 14, 128))), 256 * 14
+        with mock.patch.object(T, "_WORKERS", workers):
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                out = T.encoder_layer(x, *args, True, np.random.default_rng(1))
+                kept = tracemalloc.get_traced_memory()[0] - base
+                T.mean(out).backward()
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert kept / 8 / rows <= 1800
+        assert peak / 8 / rows <= 4400
+
+    @staticmethod
+    def _layer():
+        rng = np.random.default_rng(13)
+        args = _encoder_args(rng, 8, 2, 16)
+        x = Tensor(rng.standard_normal((12, 4, 8)), requires_grad=True)
+        return x, args, [x, *_leaves(args)]
+
+    def test_attn_sink_maps_keep_their_bytes_through_backward(self, monkeypatch):
+        """The maps alias the saved softmax: the VJP reads them and writes none."""
+        monkeypatch.setattr(T, "_WORKERS", 3)
+        monkeypatch.setattr(T, "_CHUNK_ROWS", 4 * 4)  # 3 chunks of 4 sequences
+        x, args, _ = self._layer()
+        sink = []
+        out = T.encoder_layer(x, *args, True, np.random.default_rng(0), sink)
+        before = [a.data.tobytes() for a in sink]
+        T.tsum(T.mul(out, out)).backward()
+        assert len(sink) == 2 and [a.data.tobytes() for a in sink] == before
+
+    def test_second_backward_raises(self):
+        """Through the same root, or through another root that reaches the spent layer:
+        either raises before it sums anything."""
+        x, args, leaves = self._layer()
+        out = T.encoder_layer(x, *args, True, np.random.default_rng(0))
+        loss = T.tsum(T.mul(out, out))
+        loss.backward()
+        grads = [t.grad.tobytes() for t in leaves]
+        with pytest.raises(RuntimeError, match="already ran"):
+            loss.backward()
+        with pytest.raises(RuntimeError, match="encoder_layer's backward already ran"):
+            T.tsum(out).backward()
+        assert [t.grad.tobytes() for t in leaves] == grads
+
+    def test_vjp_chunk_error_leaves_the_graph_spent(self, monkeypatch):
+        """A VJP chunk fails on a pool thread while the other chunks write their grads over
+        q, k and v: the error surfaces, a retry through either root raises, and the next
+        step gives the serial bytes."""
+        monkeypatch.setattr(T, "_WORKERS", 3)
+        monkeypatch.setattr(T, "_CHUNK_ROWS", 4 * 4)  # 3 chunks of 4 sequences
+        x, args, leaves = self._layer()
+        expected = _grad_bytes(0, lambda: _encoder_loss(x, args, True), leaves)
+        ln_vjp, lock, failed = T._layer_norm_vjp, threading.Lock(), threading.Event()
+
+        def flaky(*a):
+            if threading.current_thread() is threading.main_thread():
+                assert failed.wait(10)  # hold the caller back until a worker has failed
+            else:
+                with lock:
+                    first = not failed.is_set()
+                    failed.set()
+                if first:
+                    raise RuntimeError("injected")
+            return ln_vjp(*a)
+
+        T.zero_grad(dict(enumerate(leaves)))
+        out = T.encoder_layer(x, *args, True, np.random.default_rng(0))
+        loss = T.tsum(T.mul(out, out))
+        monkeypatch.setattr(T, "_layer_norm_vjp", flaky)
+        with pytest.raises(RuntimeError, match="injected"):
+            loss.backward()
+        monkeypatch.setattr(T, "_layer_norm_vjp", ln_vjp)
+        with pytest.raises(RuntimeError, match="already ran"):
+            loss.backward()
+        with pytest.raises(RuntimeError, match="encoder_layer's backward already ran"):
+            T.tsum(out).backward()
+        assert all(t.grad is None for t in leaves)
+        assert _grad_bytes(3, lambda: _encoder_loss(x, args, True), leaves) == expected
