@@ -32,6 +32,12 @@ class CheckResult:
         return self.max_rel_error < self.threshold
 
 
+def _weighted_mean(out: Tensor) -> Tensor:
+    """A scalar that weighs the elements of ``out`` 1, 2, ..., n: every element's grad
+    is checked with a distinct weight, and no generator is drawn from."""
+    return T.mean(T.mul(out, Tensor(np.arange(1.0, out.size + 1).reshape(out.shape))))
+
+
 def _op_checks(rng: np.random.Generator) -> list[tuple[str, object, Tensor]]:
     a53 = Tensor(rng.standard_normal((5, 3)))
     b34 = Tensor(rng.standard_normal((3, 4)))
@@ -55,41 +61,35 @@ def _op_checks(rng: np.random.Generator) -> list[tuple[str, object, Tensor]]:
     def embed(name: str, t: Tensor) -> Tensor:
         e = {**emb, name: t}
         banks = [(e["kernel"], a53.data[:4]), (e["linear"], None)]
-        return T.tsum(T.power(T.folded_embed(e["input"], banks, [e["bias"]], e["proj"], e["pos"]), 2.0))
+        return _weighted_mean(T.folded_embed(e["input"], banks, [e["bias"]], e["proj"], e["pos"]))
     # an encoder layer over grid (d=4): two heads of width 2, an FFN of width 6
     enc_wt = [Tensor(m) for src in (a53.data, b34.data.T, mix.data) for m in (src[:4, :2], src[-4:, -2:])]
     enc_args = ((Tensor(1.0 + vec.data[:4]), Tensor(vec.data[4:8])), [tuple(enc_wt[0::2]), tuple(enc_wt[1::2])],
                 Tensor(grid.data[0, :4]), (Tensor(1.0 + grid.data[1, 0]), Tensor(grid.data[1, 1])),
                 (rows, Tensor(pieces.data.reshape(-1)), Tensor(rows.data.T), Tensor(positive.data[:4])))
+    # probabilities in (0.1, 0.9), well inside the loss's clamp, and mixed labels
+    probs, labels = Tensor(0.5 + 0.4 * np.tanh(w1d.data)), np.arange(w1d.size) % 3 == 0
 
     return [
-        ("add_broadcast", lambda t: T.tsum((t + Tensor(np.ones((1, 3)))) * 2.0), a53),
-        ("sub", lambda t: T.tsum(t - Tensor(np.full((5, 3), 0.25))), a53),
-        ("mul_broadcast", lambda t: T.tsum(T.mul(t, Tensor(np.arange(1.0, 4.0)))), a53),
-        ("neg", lambda t: T.tsum(-t), a53),
-        ("matmul_left", lambda t: T.tsum(T.matmul(t, b34)), a53),
-        ("matmul_right", lambda t: T.tsum(T.matmul(a53, t)), b34),
-        ("matmul_bias_input", lambda t: T.tsum(T.power(T.matmul(t, w_fold, bias), 2.0)), grid),
-        ("matmul_bias_bias", lambda t: T.tsum(T.power(T.matmul(grid, w_fold, t), 2.0)), bias),
-        ("reshape", lambda t: T.tsum(T.power(T.reshape(t, (3, 3)), 2.0)), vec),
-        ("take_last", lambda t: T.tsum(T.power(T.take_last(t, gather_idx), 2.0)), rows),
+        ("add_broadcast", lambda t: _weighted_mean((t + Tensor(np.ones((1, 3)))) * 2.0), a53),
+        ("mul_broadcast", lambda t: _weighted_mean(T.mul(t, Tensor(np.arange(1.0, 4.0)))), a53),
+        ("matmul_left", lambda t: _weighted_mean(T.matmul(t, b34)), a53),
+        ("matmul_right", lambda t: _weighted_mean(T.matmul(a53, t)), b34),
+        ("matmul_bias_input", lambda t: _weighted_mean(T.matmul(t, w_fold, bias)), grid),
+        ("matmul_bias_bias", lambda t: _weighted_mean(T.matmul(grid, w_fold, t)), bias),
+        ("reshape", lambda t: _weighted_mean(T.reshape(t, (3, 3))), vec),
+        ("take_last", lambda t: _weighted_mean(T.take_last(t, gather_idx)), rows),
         # grad_check keeps the leaf's memory layout, so this input stays transposed
-        ("take_last_noncontiguous", lambda t: T.tsum(T.power(T.take_last(t, gather_idx), 2.0)),
+        ("take_last_noncontiguous", lambda t: _weighted_mean(T.take_last(t, gather_idx)),
          Tensor(grid.data.transpose(0, 2, 1))),
-        ("sum_axis", lambda t: T.tsum(T.power(T.tsum(t, axes=0), 2.0)), a53),
-        ("mean_axes", lambda t: T.tsum(T.power(T.mean(t, axes=(0, 1), keepdims=True), 2.0)), a53),
-        ("encoder_layer_input", lambda t: T.tsum(T.power(T.encoder_layer(t, *enc_args, ln_eps, 0.5), 2.0)), grid),
-        ("sigmoid", lambda t: T.tsum(T.sigmoid(t)), vec),
-        ("relu", lambda t: T.tsum(T.relu(t)), vec),
-        ("log", lambda t: T.tsum(T.log(t)), positive),
-        ("power", lambda t: T.tsum(T.power(t, 3.0)), positive),
-        ("clip_interior", lambda t: T.tsum(T.clip(t, -50.0, 50.0)), vec),
-        ("dropout_eval", lambda t: T.tsum(T.dropout(t, 0.5, training=False)), vec),
-        ("conv1d_valid", lambda t: T.tsum(T.conv1d(t, w1d, bias, padding="valid")), rows),
-        ("conv1d_same", lambda t: T.tsum(T.conv1d(t, w1d, bias, padding="same")), rows),
-        ("conv1d_weight", lambda t: T.tsum(T.conv1d(rows, t, bias, padding="same")), w1d),
-        ("conv2d_input", lambda t: T.tsum(T.conv2d(t, k2d)), grid),
-        ("conv2d_kernel", lambda t: T.tsum(T.conv2d(grid, t)), k2d),
+        ("mean_axes", lambda t: _weighted_mean(T.mean(t, axes=(0, 1), keepdims=True)), a53),
+        ("encoder_layer_input", lambda t: _weighted_mean(T.encoder_layer(t, *enc_args, ln_eps, 0.5)), grid),
+        ("sigmoid", lambda t: _weighted_mean(T.sigmoid(t)), vec),
+        ("relu", lambda t: _weighted_mean(T.relu(t)), vec),
+        ("dropout_eval", lambda t: _weighted_mean(T.dropout(t, 0.5, training=False)), vec),
+        ("conv2d_input", lambda t: _weighted_mean(T.conv2d(t, k2d)), grid),
+        ("conv2d_kernel", lambda t: _weighted_mean(T.conv2d(grid, t)), k2d),
+        ("weighted_bce_input", lambda t: weighted_bce(t, labels, 2.5), probs),
     ] + [(f"folded_embed_{name}", lambda t, name=name: embed(name, t), value) for name, value in emb.items()]
 
 

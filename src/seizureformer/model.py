@@ -24,12 +24,12 @@ import numpy as np
 from . import kv
 from .tensor import (
     Tensor,
-    clip,
+    _accum,
+    _result,
     conv2d,
     dropout,
     encoder_layer,
     folded_embed,
-    log,
     matmul,
     mean,
     mul,
@@ -312,21 +312,34 @@ def forward(
 
 
 def weighted_bce(y_hat: Tensor, y: np.ndarray, pos_weight: float = 1.0) -> Tensor:
-    """Mean binary cross-entropy with the positive terms scaled by pos_weight.
-
-    Probabilities are clamped to [1e-7, 1-1e-7] before the logs; pos_weight=1
-    recovers the plain mean BCE.
+    """Mean binary cross-entropy with the positive terms scaled by pos_weight, as one
+    graph node: -mean(y * log(p) * pos_weight + (1 - y) * log(1 - p)), where p is
+    y_hat clamped to [LOSS_EPS, 1 - LOSS_EPS]; pos_weight=1 recovers the plain mean BCE.
+    The grad reaches y_hat only where the clamp passes it through.
     """
+    if not math.isfinite(pos_weight):
+        raise ValueError(f"pos_weight must be finite, got {pos_weight}")
     if pos_weight <= 0:
         raise ValueError(f"pos_weight must be positive, got {pos_weight}")
     y = np.asarray(y, dtype=np.float64).reshape(-1)
+    if not y_hat.size:
+        raise ValueError(f"weighted_bce needs at least one prediction, got y_hat of shape {y_hat.shape}")
+    if y_hat.size != y.size:
+        raise ValueError(f"y_hat has {y_hat.size} predictions but y has {y.size} labels")
     if not np.all((y == 0) | (y == 1)):
         raise ValueError("labels must be 0 or 1")
-    p = clip(reshape(y_hat, (y.size,)), LOSS_EPS, 1.0 - LOSS_EPS)
-    y_t = Tensor(y)
-    pos_term = mul(y_t, log(p)) * pos_weight
-    neg_term = mul(Tensor(1.0 - y), log(1.0 - p))
-    return -mean(pos_term + neg_term)
+    yh = y_hat.data.reshape(-1)
+    p = np.clip(yh, LOSS_EPS, 1.0 - LOSS_EPS)
+    q, not_y = 1.0 - p, 1.0 - y
+    terms = y * np.log(p) * pos_weight
+    terms += not_y * np.log(q)
+
+    def vjp(g: np.ndarray) -> None:
+        g_terms = np.broadcast_to(-g, yh.shape) / yh.size
+        g_p = g_terms * pos_weight * y / p - g_terms * not_y / q  # through log(p), then through log(1 - p)
+        _accum(y_hat, (g_p * ((yh >= LOSS_EPS) & (yh <= 1.0 - LOSS_EPS))).reshape(y_hat.data.shape))
+
+    return _result(-terms.mean(axis=0), (y_hat,), vjp)
 
 
 class SeizureFormer:

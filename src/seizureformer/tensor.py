@@ -3,11 +3,11 @@
 Every operation returns a new :class:`Tensor` carrying a vector-Jacobian
 closure; calling ``backward()`` on a scalar result walks the recorded graph
 in reverse topological order and accumulates ``.grad`` on every tensor that
-requires gradients.  The op set is deliberately small: exactly what a
-patch-attention classifier needs (add/sub/mul/neg, matmul by a 2-D weight,
-reshape, a last-axis gather, sum/mean, sigmoid/relu/log/power/clip, dropout,
-1D/2D cross-correlation, a folded linear patch embedding, a whole pre-norm
-encoder layer) plus a finite-difference checker.
+requires gradients.  The op set is only what the patch-attention classifier
+runs: add/mul, matmul by a 2-D weight, reshape, a last-axis gather, mean,
+sigmoid/relu, dropout, 2D cross-correlation, a folded linear patch embedding
+and a whole pre-norm encoder layer (the loss is one node in ``model``), plus a
+forward-only 1D cross-correlation and a finite-difference checker.
 
 Inside a ``with no_grad():`` block operations record nothing: results carry
 no parents and no closure, so each intermediate is freed as soon as the next
@@ -108,17 +108,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, _lift(other))
 
-    def __sub__(self, other):
-        return sub(self, _lift(other))
-
-    def __rsub__(self, other):
-        return sub(_lift(other), self)
-
     def __mul__(self, other):
         return mul(self, _lift(other))
-
-    def __neg__(self):
-        return neg(self)
 
     def backward(self) -> None:
         """Populate ``.grad`` on every reachable tensor requiring gradients.
@@ -244,16 +235,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _result(data, (a, b), vjp)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data - b.data
-
-    def vjp(g: Array) -> None:
-        _accum(a, _sum_to_shape(g, a.data.shape))
-        _accum(b, _sum_to_shape(-g, b.data.shape))
-
-    return _result(data, (a, b), vjp)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
@@ -262,13 +243,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _accum(b, _sum_to_shape(g * a.data, b.data.shape))
 
     return _result(data, (a, b), vjp)
-
-
-def neg(a: Tensor) -> Tensor:
-    def vjp(g: Array) -> None:
-        _accum(a, -g)
-
-    return _result(-a.data, (a,), vjp)
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -331,30 +305,13 @@ def take_last(a: Tensor, idx: Array) -> Tensor:
 # -- reductions ----------------------------------------------------------
 
 
-def _spread(g: Array, shape: tuple[int, ...], axes: tuple[int, ...], keepdims: bool) -> Array:
-    if not keepdims:
-        for ax in axes:
-            g = np.expand_dims(g, ax)
-    return np.broadcast_to(g, shape)
-
-
-def tsum(a: Tensor, axes: _AxesArg = None, keepdims: bool = False) -> Tensor:
-    axes = _norm_axes(axes, a.ndim)
-    data = a.data.sum(axis=axes, keepdims=keepdims)
-
-    def vjp(g: Array) -> None:
-        _accum(a, _spread(g, a.data.shape, axes, keepdims).copy())
-
-    return _result(data, (a,), vjp)
-
-
 def mean(a: Tensor, axes: _AxesArg = None, keepdims: bool = False) -> Tensor:
     axes = _norm_axes(axes, a.ndim)
     count = int(np.prod([a.data.shape[ax] for ax in axes])) if axes else 1
     data = a.data.mean(axis=axes, keepdims=keepdims)
 
     def vjp(g: Array) -> None:
-        _accum(a, _spread(g, a.data.shape, axes, keepdims) / count)
+        _accum(a, np.broadcast_to(g if keepdims else np.expand_dims(g, axes), a.data.shape) / count)
 
     return _result(data, (a,), vjp)
 
@@ -611,41 +568,6 @@ def encoder_layer(
     return _result(out.reshape(n, p, d), parents, vjp)  # vjp is kept only when recorded
 
 
-def log(a: Tensor) -> Tensor:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        data = np.log(a.data)
-
-    def vjp(g: Array) -> None:
-        _accum(a, g / a.data)
-
-    return _result(data, (a,), vjp)
-
-
-def power(a: Tensor, exponent: float) -> Tensor:
-    exponent = float(exponent)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        data = np.power(a.data, exponent)
-
-    def vjp(g: Array) -> None:
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            local = exponent * np.power(a.data, exponent - 1.0)
-        _accum(a, g * local)
-
-    return _result(data, (a,), vjp)
-
-
-def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp values to [lo, hi]; gradient passes through the interior."""
-    if lo >= hi:
-        raise ValueError("clip needs lo < hi")
-    data = np.clip(a.data, lo, hi)
-
-    def vjp(g: Array) -> None:
-        _accum(a, g * ((a.data >= lo) & (a.data <= hi)))
-
-    return _result(data, (a,), vjp)
-
-
 def _keep_mask(shape: tuple[int, ...], rate: float, training: bool, rng: np.random.Generator | None) -> Array | None:
     """Inverted dropout's survivors as a bool array (see ``_drop``), or None when dropout is the identity."""
     if not 0.0 <= rate < 1.0:
@@ -681,12 +603,16 @@ def dropout(a: Tensor, rate: float, training: bool, rng: np.random.Generator | N
 
 
 def conv1d(a: Tensor, weight: Tensor, bias: Tensor | None = None, padding: str = "same") -> Tensor:
-    """Cross-correlate the last axis with a bank of kernels.
+    """Cross-correlate the last axis with a bank of kernels, forward only.
 
     ``a`` is (..., L), ``weight`` is (features, k), ``bias`` is (features,).
     Returns (..., L_out, features) where L_out = L for "same" padding and
-    L - k + 1 for "valid".
+    L - k + 1 for "valid".  The model folds its kernels into ``folded_embed``,
+    so this op has no VJP: recording a graph through it raises rather than
+    leave a gradient silently zero.
     """
+    if _recording.get() and any(t is not None and t.requires_grad for t in (a, weight, bias)):
+        raise ValueError("conv1d is forward-only: call it under no_grad() or on tensors that do not require gradients")
     if weight.ndim != 2:
         raise ValueError("conv1d weight must be (features, k)")
     n_feat, k = weight.data.shape
@@ -712,24 +638,7 @@ def conv1d(a: Tensor, weight: Tensor, bias: Tensor | None = None, padding: str =
     out = cols @ weight.data.T
     if bias is not None:
         out += bias.data
-    out = out.reshape(a.data.shape[:-1] + (out_len, n_feat))
-
-    parents = (a, weight) if bias is None else (a, weight, bias)
-
-    def vjp(g: Array) -> None:
-        g2 = g.reshape(-1, n_feat)
-        if bias is not None and bias.requires_grad:
-            _accum(bias, g2.sum(axis=0))
-        if weight.requires_grad:
-            _accum(weight, g2.T @ cols)
-        if a.requires_grad:
-            gcols = (g2 @ weight.data).reshape(a.data.shape[:-1] + (out_len, k))
-            gxp = np.zeros(xp.shape)
-            for j in range(k):
-                gxp[..., j : j + out_len] += gcols[..., j]
-            _accum(a, gxp[..., left : left + length])
-
-    return _result(out, parents, vjp)
+    return _result(out.reshape(a.data.shape[:-1] + (out_len, n_feat)), (), None)
 
 
 def conv2d(a: Tensor, kernel: Tensor) -> Tensor:

@@ -21,7 +21,11 @@ by array ops on a ``WindowSet``), the pairwise gap loop over records
 inverse-CDF sampler (replaced by the masked array recurrence), the
 dropout keep-mask as one compare-then-divide expression (replaced by draws
 compared and scaled in place), and the tie-grouping loops of ``roc_auc`` /
-``pr_auc``.  The baseline objective
+``pr_auc``.  The ops that only the loss and gradient checks used (``log``,
+``clip``, ``sub``, ``neg``, ``power``, ``tsum``) are kept here, with the
+composite loss built from them (replaced by the one-node ``weighted_bce``) and
+a differentiable ``conv1d`` (the package's forward, the per-tap VJP; the
+package's ``conv1d`` is forward-only).  The baseline objective
 gradients live here too, since only tests evaluate them.
 """
 
@@ -34,6 +38,7 @@ import numpy as np
 
 from seizureformer import tensor as T
 from seizureformer.data import CSV_HEADER, DailyRecord, DataError, ParseReport, PatientSeries, WindowSample
+from seizureformer.model import LOSS_EPS
 
 
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -133,6 +138,87 @@ def per_tap_conv2d_vjp(x: np.ndarray, kernel: np.ndarray, g: np.ndarray):
     return gxp[..., ph : ph + h, pw : pw + w, :], gk
 
 
+def sub(a: T.Tensor, b: T.Tensor) -> T.Tensor:
+    def vjp(g):
+        T._accum(a, T._sum_to_shape(g, a.data.shape))
+        T._accum(b, T._sum_to_shape(-g, b.data.shape))
+
+    return T._result(a.data - b.data, (a, b), vjp)
+
+
+def neg(a: T.Tensor) -> T.Tensor:
+    def vjp(g):
+        T._accum(a, -g)
+
+    return T._result(-a.data, (a,), vjp)
+
+
+def tsum(a: T.Tensor) -> T.Tensor:
+    """The sum of every element, with the VJP the package's ``tsum`` had."""
+    axes = tuple(range(a.ndim))
+
+    def vjp(g):
+        for ax in axes:
+            g = np.expand_dims(g, ax)
+        T._accum(a, np.broadcast_to(g, a.data.shape).copy())
+
+    return T._result(a.data.sum(axis=axes), (a,), vjp)
+
+
+def log(a: T.Tensor) -> T.Tensor:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        data = np.log(a.data)
+
+    def vjp(g):
+        T._accum(a, g / a.data)
+
+    return T._result(data, (a,), vjp)
+
+
+def power(a: T.Tensor, exponent: float) -> T.Tensor:
+    exponent = float(exponent)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        data = np.power(a.data, exponent)
+
+    def vjp(g):
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            local = exponent * np.power(a.data, exponent - 1.0)
+        T._accum(a, g * local)
+
+    return T._result(data, (a,), vjp)
+
+
+def clip(a: T.Tensor, lo: float, hi: float) -> T.Tensor:
+    """Clamp values to [lo, hi]; gradient passes through the interior."""
+    def vjp(g):
+        T._accum(a, g * ((a.data >= lo) & (a.data <= hi)))
+
+    return T._result(np.clip(a.data, lo, hi), (a,), vjp)
+
+
+def composite_weighted_bce(y_hat: T.Tensor, y, pos_weight: float = 1.0) -> T.Tensor:
+    """The weighted BCE as the package built it before the one-node loss: an 11-node graph."""
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    p = clip(T.reshape(y_hat, (y.size,)), LOSS_EPS, 1.0 - LOSS_EPS)
+    pos_term = T.mul(T.Tensor(y), log(p)) * pos_weight
+    neg_term = T.mul(T.Tensor(1.0 - y), log(sub(T.Tensor(1.0), p)))
+    return neg(T.mean(pos_term + neg_term))
+
+
+def conv1d(a: T.Tensor, weight: T.Tensor, bias: T.Tensor | None = None, padding: str = "same") -> T.Tensor:
+    """A differentiable conv1d: the package's forward, then ``per_tap_conv1d_vjp``."""
+    with T.no_grad():
+        out = T.conv1d(a, weight, bias, padding)
+
+    def vjp(g):
+        gx, gw, gb = per_tap_conv1d_vjp(a.data, weight.data, padding, g)
+        for t, grad in ((a, gx), (weight, gw), (bias, gb)):
+            if t is not None and t.requires_grad:
+                T._accum(t, grad)
+
+    return T._result(out.data, (a, weight) if bias is None else (a, weight, bias), vjp)
+
+
 def concat(tensors, axis: int) -> T.Tensor:
     """The concat op, as the package had it."""
     data = np.concatenate([t.data for t in tensors], axis=axis)
@@ -152,7 +238,7 @@ def composed_embed(patches: T.Tensor, cfg, params: dict) -> T.Tensor:
     positional table."""
     if cfg.use_cnn_embed:
         feats = [
-            T.mean(T.conv1d(patches, params[f"embed.conv{i}.weight"], params[f"embed.conv{i}.bias"]), axes=-2)
+            T.mean(conv1d(patches, params[f"embed.conv{i}.weight"], params[f"embed.conv{i}.bias"]), axes=-2)
             for i in range(len(cfg.kernel_sizes))
         ]
         embedded = concat(feats, axis=-1)
@@ -194,9 +280,9 @@ def layer_norm(x: T.Tensor, gamma: T.Tensor, beta: T.Tensor, eps: float) -> T.Te
 def composed_layer_norm(x: T.Tensor, gamma: T.Tensor, beta: T.Tensor, eps: float) -> T.Tensor:
     """Layer norm over the last axis as a graph of primitive ops."""
     mu = T.mean(x, axes=-1, keepdims=True)
-    centered = x - mu
+    centered = sub(x, mu)
     var = T.mean(T.mul(centered, centered), axes=-1, keepdims=True)
-    return T.mul(centered, T.power(var + eps, -0.5)) * gamma + beta
+    return T.mul(centered, power(var + eps, -0.5)) * gamma + beta
 
 
 def _sum_to_shape(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -322,7 +322,7 @@ class TestGradcheckCommand:
                 t.grad = g if t.grad is None else t.grad + g  # claims d/dt(2t) = 1
 
             doubled = _result(t.data * 2.0, (t,), vjp)
-            from seizureformer.tensor import tsum
+            from oracles import tsum
 
             return tsum(doubled)
 

@@ -3,13 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from seizureformer import kv, train
 from seizureformer import tensor as T
 from seizureformer.model import (
+    LOSS_EPS,
     ModelConfig,
     SeizureFormer,
     embed_patches,
@@ -25,7 +26,15 @@ from seizureformer.model import (
 )
 from seizureformer.tensor import Tensor, grad_check
 
-from oracles import composed_embed, graph_mhsa_encoder, naive_conv1d, naive_conv2d, per_head_mhsa_encoder
+from oracles import (
+    composed_embed,
+    composite_weighted_bce,
+    graph_mhsa_encoder,
+    naive_conv1d,
+    naive_conv2d,
+    per_head_mhsa_encoder,
+    tsum,
+)
 
 TINY = dict(
     lookback=16, patch_length=4, stride=2, kernel_sizes=(3, 5), embed_features=3,
@@ -170,8 +179,8 @@ class TestEmbedPatches:
         ref = composed_embed(patchify(xo, patch_length, stride), cfg, oracle_params)
         assert_allclose(out.data, ref.data, rtol=1e-12, atol=1e-12)
 
-        T.tsum(T.mul(out, g)).backward()
-        T.tsum(T.mul(ref, g)).backward()
+        tsum(T.mul(out, g)).backward()
+        tsum(T.mul(ref, g)).backward()
         assert_allclose(xt.grad, xo.grad, rtol=1e-12, atol=1e-12)
         front = [name for name in params if name.startswith(("embed.", "proj."))]
         assert len(front) == (2 * len(kernel_sizes) if use_cnn_embed else 1) + 2
@@ -278,8 +287,8 @@ class TestMhsaEncoder:
         ref = per_head_mhsa_encoder(xo, cfg, oracle_params)
         assert_allclose(out.data, ref.data, rtol=0, atol=1e-12)
 
-        T.tsum(T.mul(out, g)).backward()
-        T.tsum(T.mul(ref, g)).backward()
+        tsum(T.mul(out, g)).backward()
+        tsum(T.mul(ref, g)).backward()
         assert_allclose(xt.grad, xo.grad, rtol=0, atol=1e-12)
         encoder = [name for name in params if name.startswith("encoder")]
         assert len(encoder) == (9 + 3 * heads) * layers
@@ -316,8 +325,8 @@ class TestMhsaEncoder:
             assert_allclose(fused.data, graph.data, rtol=1e-12, atol=1e-12)
         assert rng_t.random() == rng_o.random()
 
-        T.tsum(T.mul(out, g)).backward()
-        T.tsum(T.mul(ref, g)).backward()
+        tsum(T.mul(out, g)).backward()
+        tsum(T.mul(ref, g)).backward()
         assert_allclose(xt.grad, xo.grad, rtol=1e-12, atol=1e-12)
         for name in params:
             if name.startswith("encoder"):
@@ -511,6 +520,41 @@ class TestWeightedBce:
     def test_invalid_pos_weight(self):
         with pytest.raises(ValueError, match="pos_weight"):
             weighted_bce(Tensor([[0.5]]), np.array([1]), 0.0)
+
+    @pytest.mark.parametrize("pos_weight", [math.nan, math.inf, -math.inf])
+    def test_non_finite_pos_weight_named(self, pos_weight):
+        with pytest.raises(ValueError, match="pos_weight must be finite"):
+            weighted_bce(Tensor([[0.5]]), np.array([1]), pos_weight)
+
+    def test_empty_batch_names_the_shape(self):
+        with pytest.raises(ValueError, match=r"at least one prediction, got y_hat of shape \(0, 1\)"):
+            weighted_bce(Tensor(np.zeros((0, 1))), np.array([]), 1.0)
+
+    def test_size_mismatch_names_both_sizes(self):
+        with pytest.raises(ValueError, match="y_hat has 3 predictions but y has 2 labels"):
+            weighted_bce(Tensor(np.full((3, 1), 0.5)), np.array([0, 1]), 1.0)
+
+    @given(n=st.integers(1, 300), pos_weight=st.one_of(st.just(1.0), st.floats(0.01, 100.0)),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=1, pos_weight=2.5, seed=0)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_composite_graph(self, n, pos_weight, seed):
+        """The one-node loss against the 11-node graph it replaced: the same loss bytes and
+        the same y_hat grad bytes, with probabilities at 0, 1 and the clamp bounds, and
+        within 1e-9 of each, on both sides."""
+        rng = np.random.default_rng(seed)
+        edges = np.array([0.0, 1.0, LOSS_EPS, 1.0 - LOSS_EPS])
+        specials = np.concatenate([edges, edges - 1e-9, edges + 1e-9])
+        probs = rng.random(n)
+        at = rng.random(n) < 0.4
+        probs[at] = rng.choice(specials, at.sum())
+        labels = rng.integers(0, 2, n)
+        node, graph = Tensor(probs.reshape(n, 1), requires_grad=True), Tensor(probs.reshape(n, 1), requires_grad=True)
+        loss, ref = weighted_bce(node, labels, pos_weight), composite_weighted_bce(graph, labels, pos_weight)
+        assert loss.data.tobytes() == ref.data.tobytes()
+        loss.backward()
+        ref.backward()
+        assert node.grad.tobytes() == graph.grad.tobytes()
 
 
 class TestCheckpoint:

@@ -21,8 +21,11 @@ from seizureformer.tensor import Tensor, _accum, _result, grad_check
 from oracles import (
     broadcast_matmul,
     composed_layer_norm,
+    composite_weighted_bce,
+    conv1d,
     keep_mask,
     layer_norm,
+    log,
     naive_conv1d,
     naive_conv2d,
     naive_matmul,
@@ -32,6 +35,7 @@ from oracles import (
     per_tap_conv2d,
     per_tap_conv2d_vjp,
     softmax,
+    tsum,
 )
 
 # leading batch axes for the kernel-vs-oracle sweeps
@@ -86,7 +90,7 @@ class TestMatmul:
         rng = np.random.default_rng(1)
         a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         b = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
-        T.tsum(T.matmul(a, b)).backward()
+        tsum(T.matmul(a, b)).backward()
         ones = np.ones((3, 2))
         assert_allclose(a.grad, ones @ b.data.T, atol=1e-12)
         assert_allclose(b.grad, a.data.T @ ones, atol=1e-12)
@@ -115,8 +119,8 @@ class TestMatmulFold:
         assert_allclose(out.data, expected.data, rtol=0, atol=1e-12)
 
         g = Tensor(rng.standard_normal(out.shape))
-        T.tsum(T.mul(out, g)).backward()
-        T.tsum(T.mul(expected, g)).backward()
+        tsum(T.mul(out, g)).backward()
+        tsum(T.mul(expected, g)).backward()
         for mine, theirs in zip(got, ref):  # input, weight, bias
             assert mine.grad.shape == theirs.data.shape
             assert_allclose(mine.grad, theirs.grad, rtol=0, atol=1e-12)
@@ -135,7 +139,7 @@ class TestMatmulFold:
         w = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
         out = T.matmul(x, w)
         assert_allclose(out.data, np.matmul(x.data, w.data), rtol=0, atol=1e-12)
-        T.tsum(out).backward()
+        tsum(out).backward()
         assert_allclose(x.grad, np.ones((2, 3, 5)) @ w.data.T, rtol=0, atol=1e-12)
 
 
@@ -165,7 +169,9 @@ class TestConv1d:
 
 
 class TestConv1dMatchesPerTap:
-    """The single-GEMM conv1d against the per-tap loop it replaced."""
+    """The single-GEMM conv1d against the per-tap loop it replaced, and the
+    differentiable oracle copy built on it (``oracles.conv1d``) that the composed
+    embed front end relies on."""
 
     @given(
         lead=lead_shapes, k=st.integers(1, 7), extra=st.integers(0, 6), feats=st.integers(1, 4),
@@ -180,16 +186,44 @@ class TestConv1dMatchesPerTap:
         b = rng.standard_normal(feats) if with_bias else None
         xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
         bt = Tensor(b, requires_grad=True) if with_bias else None
-        out = T.conv1d(xt, wt, bt, padding=padding)
+        out = conv1d(xt, wt, bt, padding=padding)
         assert_allclose(out.data, per_tap_conv1d(x, w, b, padding), rtol=0, atol=1e-12)
 
         g = rng.standard_normal(out.shape)
-        T.tsum(T.mul(out, Tensor(g))).backward()
+        tsum(T.mul(out, Tensor(g))).backward()
         gx, gw, gb = per_tap_conv1d_vjp(x, w, padding, g)
         assert_allclose(xt.grad, gx, rtol=0, atol=1e-12)
         assert_allclose(wt.grad, gw, rtol=0, atol=1e-12)
         if with_bias:
             assert_allclose(bt.grad, gb, rtol=0, atol=1e-12)
+
+
+class TestConv1dForwardOnly:
+    """``conv1d`` has no VJP: recording a graph through it raises, naming the op."""
+
+    @pytest.mark.parametrize("grad_on", ["input", "weight", "bias"])
+    def test_recording_raises(self, grad_on):
+        rng = np.random.default_rng(15)
+        arrays = dict(input=rng.standard_normal((2, 9)), weight=rng.standard_normal((3, 4)), bias=rng.standard_normal(3))
+        x, w, b = (Tensor(v, requires_grad=name == grad_on) for name, v in arrays.items())
+        with pytest.raises(ValueError, match="conv1d is forward-only"):
+            T.conv1d(x, w, b)
+
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    def test_unrecorded_calls_give_the_im2col_bytes(self, padding):
+        """Under ``no_grad()``, or on tensors that need no grad, the result is the bytes of
+        the one im2col GEMM plus bias that the op computed when it still recorded."""
+        rng = np.random.default_rng(16)
+        x, w, b = rng.standard_normal((3, 2, 11)), rng.standard_normal((4, 5)), rng.standard_normal(4)
+        pad = (2, 2) if padding == "same" else (0, 0)
+        cols = np.lib.stride_tricks.sliding_window_view(np.pad(x, [(0, 0), (0, 0), pad]), 5, axis=-1).reshape(-1, 5)
+        want = (cols @ w.T + b).reshape(3, 2, -1, 4)
+        with T.no_grad():
+            free = T.conv1d(*(Tensor(v, requires_grad=True) for v in (x, w, b)), padding=padding)
+        plain = T.conv1d(Tensor(x), Tensor(w), Tensor(b), padding=padding)
+        for out in (free, plain):
+            assert not out.requires_grad
+            assert out.data.tobytes() == want.tobytes()
 
 
 class TestLayerNorm:
@@ -215,7 +249,7 @@ class TestLayerNorm:
         for norm in (layer_norm, composed_layer_norm):
             leaves = [Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
             out = norm(*leaves, 1e-5)
-            T.tsum(T.mul(out, Tensor(g))).backward()
+            tsum(T.mul(out, Tensor(g))).backward()
             results.append([out.data] + [t.grad for t in leaves])
         for fused, composed in zip(*results):
             assert_allclose(fused, composed, rtol=1e-12, atol=1e-12)
@@ -225,7 +259,7 @@ class TestTakeLast:
     def test_gradient_on_non_contiguous_input(self):
         """Regression: a transposed input used to get an all-zero gradient."""
         x = Tensor(np.ones((2, 3, 4)).transpose(2, 1, 0), requires_grad=True)  # (4, 3, 2), not C-ordered
-        T.tsum(T.take_last(x, np.array([1]))).backward()
+        tsum(T.take_last(x, np.array([1]))).backward()
         assert x.grad.sum() == 12.0
         assert_allclose(x.grad[..., 1], 1.0)
         assert_allclose(x.grad[..., 0], 0.0)
@@ -252,19 +286,19 @@ class TestNoGrad:
     def test_backward_inside_block_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with T.no_grad():
-            loss = T.tsum(T.mul(x, x))
+            loss = tsum(T.mul(x, x))
         with pytest.raises(ValueError, match="requiring gradients"):
             loss.backward()
 
     def test_finiteness_guard_kept(self):
         with T.no_grad(), pytest.raises(FloatingPointError):
-            T.log(Tensor([0.0], requires_grad=True))
+            log(Tensor([0.0], requires_grad=True))
 
     def test_mode_restored_after_exception(self):
         x = Tensor([1.0], requires_grad=True)
         with pytest.raises(RuntimeError, match="boom"), T.no_grad():
             raise RuntimeError("boom")
-        loss = T.tsum(T.mul(x, x))
+        loss = tsum(T.mul(x, x))
         assert loss.requires_grad
         loss.backward()
         assert_allclose(x.grad, [2.0])
@@ -307,7 +341,7 @@ class TestConv2dMatchesPerTap:
         xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
         out = T.conv2d(xt, kt)
         assert_allclose(out.data, per_tap_conv2d(x, k), rtol=0, atol=1e-12)
-        T.tsum(T.mul(out, Tensor(g))).backward()
+        tsum(T.mul(out, Tensor(g))).backward()
         gx, gk = per_tap_conv2d_vjp(x, k, g)
         assert_allclose(xt.grad, gx, rtol=0, atol=1e-12)
         assert_allclose(kt.grad, gk, rtol=1e-12, atol=1e-12)
@@ -319,7 +353,7 @@ class TestConv2dMatchesPerTap:
         k = rng.standard_normal((3, 3))
         g = rng.standard_normal(x.shape)
         kt = Tensor(k, requires_grad=True)
-        T.tsum(T.mul(T.conv2d(Tensor(x), kt), Tensor(g))).backward()
+        tsum(T.mul(T.conv2d(Tensor(x), kt), Tensor(g))).backward()
         assert_allclose(kt.grad, per_tap_conv2d_vjp(x, k, g)[1], rtol=1e-12, atol=1e-12)
 
 
@@ -359,7 +393,7 @@ class TestPointwise:
 
     def test_log_of_zero_raises(self):
         with pytest.raises(FloatingPointError):
-            T.log(Tensor([0.0]))
+            log(Tensor([0.0]))
 
 
 class TestDropout:
@@ -394,17 +428,17 @@ class TestDropout:
 class TestBackward:
     def test_sum_gradient(self):
         x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
-        T.tsum(x).backward()
+        tsum(x).backward()
         assert_allclose(x.grad, [1.0, 1.0, 1.0])
 
     def test_elementwise_square(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        T.tsum(T.mul(x, x)).backward()
+        tsum(T.mul(x, x)).backward()
         assert_allclose(x.grad, [2.0, 4.0])
 
     def test_backward_twice_errors(self):
         x = Tensor([1.0], requires_grad=True)
-        loss = T.tsum(x)
+        loss = tsum(x)
         loss.backward()
         with pytest.raises(RuntimeError, match="already ran"):
             loss.backward()
@@ -420,7 +454,7 @@ class TestBackward:
                 raise KeyError("once")
             _accum(a, 3.0 * g)
 
-        loss = T.tsum(_result(3.0 * a.data, (a,), flaky))
+        loss = tsum(_result(3.0 * a.data, (a,), flaky))
         with pytest.raises(KeyError, match="once"):
             loss.backward()
         with pytest.raises(RuntimeError, match="already ran"):
@@ -434,7 +468,7 @@ class TestBackward:
 
     def test_unrecorded_graph_errors(self):
         with pytest.raises(ValueError, match="requiring gradients"):
-            T.tsum(Tensor([1.0])).backward()
+            tsum(Tensor([1.0])).backward()
 
     def test_shared_node_cross_graph(self):
         """Regression: B = h(C, A) consuming A must be processed before A.
@@ -444,20 +478,20 @@ class TestBackward:
         c = Tensor([1.5], requires_grad=True)
         a = c * 2.0
         b = T.mul(c, a)
-        T.tsum(a + b).backward()
+        tsum(a + b).backward()
         assert_allclose(c.grad, [2.0 + 4.0 * 1.5])
 
     def test_each_node_visited_once(self):
         # a diamond where double-counting would show up as a doubled gradient
         x = Tensor([3.0], requires_grad=True)
         y = x * 1.0
-        T.tsum(y + y).backward()
+        tsum(y + y).backward()
         assert_allclose(x.grad, [2.0])
 
 
 class TestGradCheck:
     def test_sum_of_squares(self):
-        err = grad_check(lambda t: T.tsum(T.mul(t, t)), Tensor(np.arange(1.0, 5.0)))
+        err = grad_check(lambda t: tsum(T.mul(t, t)), Tensor(np.arange(1.0, 5.0)))
         assert err < 1e-8
 
     def test_constant_function(self):
@@ -468,20 +502,21 @@ class TestGradCheck:
         rng = np.random.default_rng(0)
 
         def noisy(t):
-            return T.tsum(t) * float(rng.random())
+            return tsum(t) * float(rng.random())
 
         with pytest.raises(ValueError, match="deterministic"):
             grad_check(noisy, Tensor(np.ones(2)))
 
     def test_bad_epsilon(self):
         with pytest.raises(ValueError, match="epsilon"):
-            grad_check(lambda t: T.tsum(t), Tensor(np.ones(2)), epsilon=0.0)
+            grad_check(lambda t: tsum(t), Tensor(np.ones(2)), epsilon=0.0)
 
     def test_run_all_reaches_every_op(self, monkeypatch):
         """Every public op of the tensor module is called by ``gradcheck.run_all``
         with an input that requires a gradient, so each one gets a finite-difference
-        check.  Operator sugar (``t + u``, ``-t``) counts, since it calls the op."""
-        non_ops = {"Tensor", "no_grad", "zero_grad", "grad_check"}
+        check.  Operator sugar (``t + u``, ``t * u``) counts, since it calls the op.
+        ``conv1d`` is forward-only and refuses such an input (``TestConv1dForwardOnly``)."""
+        non_ops = {"Tensor", "no_grad", "zero_grad", "grad_check", "conv1d"}
         ops = sorted(name for name, obj in vars(T).items() if callable(obj) and not name.startswith("_")
                      and getattr(obj, "__module__", None) == T.__name__ and name not in non_ops)
         reached = set()
@@ -506,6 +541,16 @@ class TestGradCheck:
         assert all(r.passed for r in gradcheck.run_all())
         assert "matmul" in ops and "encoder_layer" in ops
         assert [name for name in ops if name not in reached] == []
+
+    def test_model_checks_match_the_composite_loss(self, monkeypatch):
+        """The loss node gives the composite graph's loss and y_hat grad bytes, so every
+        ``model.*`` check reports the error it reported with the composite."""
+        def model_errors():
+            return {r.name: r.max_rel_error for r in gradcheck.run_all() if r.name.startswith("model.")}
+
+        node = model_errors()
+        monkeypatch.setattr(gradcheck, "weighted_bce", composite_weighted_bce)
+        assert node and node == model_errors()
 
     def test_checks_the_input_layout(self):
         """A VJP that is wrong only on non-contiguous input must be caught."""
@@ -750,7 +795,7 @@ def _layer_bytes(layer, x, args, training, seed, workers):
     xt, sink, rng = Tensor(x, requires_grad=True), [], np.random.default_rng(seed)
     with mock.patch.object(T, "_WORKERS", workers):
         out = layer(xt, *args, training, rng, sink)
-        T.tsum(T.mul(out, out)).backward()
+        tsum(T.mul(out, out)).backward()
     return [out.data, *(a.data for a in sink), np.array(rng.random()), xt.grad, *(t.grad for t in leaves)]
 
 
@@ -828,7 +873,7 @@ class TestRecordedChunks:
             rng_d, h = np.random.default_rng(3), x
             for _ in range(3):
                 h = T.encoder_layer(h, *args, True, rng_d)
-            return T.tsum(T.mul(h, h))
+            return tsum(T.mul(h, h))
 
         serial, interval = _grad_bytes(0, build, leaves), sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -887,7 +932,7 @@ def _leaves(value):
 
 def _encoder_loss(x, args, training=False, seed=0):
     out = T.encoder_layer(x, *args, training, np.random.default_rng(seed))
-    return T.tsum(T.mul(out, out))
+    return tsum(T.mul(out, out))
 
 
 def _grad_bytes(workers, build, leaves):
@@ -939,7 +984,7 @@ class TestPooledBackward:
             h = x
             for _ in range(3):
                 h = T.encoder_layer(h, *args, True, rng_d)
-            return T.tsum(T.mul(h, h))
+            return tsum(T.mul(h, h))
 
         serial, interval = _grad_bytes(0, build, leaves), sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -963,7 +1008,7 @@ class TestPooledBackward:
             rng_d = np.random.default_rng(1)
             h = T.encoder_layer(T.matmul(x * b2, wo), *args, True, rng_d)
             h = T.encoder_layer(h, *args, True, rng_d)
-            return T.tsum(T.mul(h, h)) + T.tsum(T.matmul(h, w1))
+            return tsum(T.mul(h, h)) + tsum(T.matmul(h, w1))
 
         serial = _grad_bytes(0, build, leaves)
         for workers in (1, 3):
@@ -1140,7 +1185,7 @@ class TestLeanRecordedLayer:
         sink = []
         out = T.encoder_layer(x, *args, True, np.random.default_rng(0), sink)
         before = [a.data.tobytes() for a in sink]
-        T.tsum(T.mul(out, out)).backward()
+        tsum(T.mul(out, out)).backward()
         assert len(sink) == 2 and [a.data.tobytes() for a in sink] == before
 
     def test_second_backward_raises(self):
@@ -1148,13 +1193,13 @@ class TestLeanRecordedLayer:
         either raises before it sums anything."""
         x, args, leaves = self._layer()
         out = T.encoder_layer(x, *args, True, np.random.default_rng(0))
-        loss = T.tsum(T.mul(out, out))
+        loss = tsum(T.mul(out, out))
         loss.backward()
         grads = [t.grad.tobytes() for t in leaves]
         with pytest.raises(RuntimeError, match="already ran"):
             loss.backward()
         with pytest.raises(RuntimeError, match="encoder_layer's backward already ran"):
-            T.tsum(out).backward()
+            tsum(out).backward()
         assert [t.grad.tobytes() for t in leaves] == grads
 
     def test_vjp_chunk_error_leaves_the_graph_spent(self, monkeypatch):
@@ -1180,7 +1225,7 @@ class TestLeanRecordedLayer:
 
         T.zero_grad(dict(enumerate(leaves)))
         out = T.encoder_layer(x, *args, True, np.random.default_rng(0))
-        loss = T.tsum(T.mul(out, out))
+        loss = tsum(T.mul(out, out))
         monkeypatch.setattr(T, "_layer_norm_vjp", flaky)
         with pytest.raises(RuntimeError, match="injected"):
             loss.backward()
@@ -1188,6 +1233,6 @@ class TestLeanRecordedLayer:
         with pytest.raises(RuntimeError, match="already ran"):
             loss.backward()
         with pytest.raises(RuntimeError, match="encoder_layer's backward already ran"):
-            T.tsum(out).backward()
+            tsum(out).backward()
         assert all(t.grad is None for t in leaves)
         assert _grad_bytes(3, lambda: _encoder_loss(x, args, True), leaves) == expected
