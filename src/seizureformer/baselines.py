@@ -18,6 +18,7 @@ from .tensor import Tensor, matmul, sigmoid
 
 GRAD_TOL = 1e-6
 MAX_ITER = 10_000
+MOVING_AVG = 5  # DLinear's centered trend window, in days
 
 
 @dataclass
@@ -145,7 +146,7 @@ def poisson_predict(model: BaselineModel, x: np.ndarray) -> np.ndarray:
 # -- trend/seasonal linear model ------------------------------------------------
 
 
-def decompose_window(x: np.ndarray, moving_avg: int = 5) -> tuple[np.ndarray, np.ndarray]:
+def decompose_window(x: np.ndarray, moving_avg: int = MOVING_AVG) -> tuple[np.ndarray, np.ndarray]:
     """Split (..., n, d) windows into a centered-moving-average trend over n and
     the seasonal remainder; edges replicate so trend + seasonal == x exactly."""
     if moving_avg % 2 == 0 or moving_avg < 1:
@@ -169,13 +170,7 @@ class DLinearModel:
     with the same weighted BCE loop.
     """
 
-    def __init__(self, lookback: int, channels: int, moving_avg: int = 5, rng: np.random.Generator | None = None):
-        if moving_avg % 2 == 0 or moving_avg < 1 or moving_avg > lookback:
-            raise ValueError(f"moving_avg must be odd, positive, and <= lookback, got {moving_avg}")
-        rng = rng or np.random.default_rng(0)
-        self.lookback = lookback
-        self.channels = channels
-        self.moving_avg = moving_avg
+    def __init__(self, lookback: int, channels: int, rng: np.random.Generator):
         flat = lookback * channels
         bound = 1.0 / np.sqrt(flat)
         self.params = {
@@ -187,7 +182,7 @@ class DLinearModel:
     def forward(self, x: np.ndarray, training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
         # x arrives (B, channels, lookback); decomposition runs over time
         batch = x.shape[0]
-        trends, seasonals = decompose_window(np.transpose(x, (0, 2, 1)), self.moving_avg)
+        trends, seasonals = decompose_window(np.transpose(x, (0, 2, 1)))
         t_flat = Tensor(trends.reshape(batch, -1))
         s_flat = Tensor(seasonals.reshape(batch, -1))
         logits = matmul(t_flat, self.params["trend.weight"]) + matmul(s_flat, self.params["seasonal.weight"])

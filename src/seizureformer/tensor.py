@@ -25,6 +25,8 @@ the poison propagate.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import os
 import threading
 from collections.abc import Callable, Iterator, Sequence
@@ -38,15 +40,28 @@ Array = np.ndarray
 
 _CONV2D_CHUNK = 32  # batch slices per step of conv2d's kernel-grad sum
 _CHUNK_ROWS = 1024  # per encoder chunk, forward and backward: two at default widths and batch 64
-_WORKERS: int | None = None  # pool threads beside the caller; None: see _workers()
-# as this process started, when the BLAS read it; bytes depend on the BLAS thread count
-BLAS_THREADS = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS") or "unset"
 _pool = None  # (size, ThreadPoolExecutor), started by the first call that has work for a worker
 _pool_lock = threading.Lock()
 
 _AxesArg = int | Sequence[int] | None
 
 
+def _execution_config() -> tuple[str, int]:
+    """(BLAS thread count in force, pool threads beside the caller), fixed at import.  numpy's
+    bundled OpenBLAS is set to one thread, so no environment variable picks a code path or a byte.
+    A build without it (MKL, Accelerate) keeps the environment's count, and a pool only beside one
+    BLAS thread: a BLAS with a thread per CPU keeps every core busy, and pool threads only contend."""
+    try:
+        lib = ctypes.CDLL(glob.glob(os.path.dirname(np.__file__) + ".libs/libscipy_openblas64_*.so")[0])
+        lib.scipy_openblas_set_num_threads64_(ctypes.c_int(1))
+        blas = str(lib.scipy_openblas_get_num_threads64_())  # returns a C int, ctypes' default
+    except (IndexError, OSError, AttributeError):
+        blas = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS") or "unset"
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return blas, cpus - 1 if blas == "1" else 0
+
+
+BLAS_THREADS, _WORKERS = _execution_config()  # every manifest records BLAS_THREADS; tests set _WORKERS
 _recording: ContextVar[bool] = ContextVar("recording", default=True)
 
 
@@ -369,24 +384,14 @@ def _layer_norm_vjp(g: Array, xhat: Array, inv: Array, gamma: Array) -> Array:
     return dxhat
 
 
-def _workers() -> int:
-    """Pool threads beside the caller: ``_WORKERS`` when set; else, when the BLAS runs one
-    thread, one per other CPU in the affinity mask.  Left at its default, the BLAS runs one
-    thread per CPU already, and pool threads calling it only contend for the cores."""
-    if _WORKERS is not None:
-        return _WORKERS
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return cpus - 1 if BLAS_THREADS == "1" else 0
-
-
 def _run_chunks(fn: Callable[[int], None], count: int) -> None:
     """Call ``fn(i)`` for i in range(count), shared between the calling thread and up to
-    ``_workers()`` threads of the one shared pool, started (or grown) first, never more
+    ``_WORKERS`` threads of the one shared pool, started (or grown) first, never more
     threads than calls.  Returns once every started call has finished, so no worker
     still writes; then the first error re-raises, the caller's own first.  Workers call
     no traced op: the tracer keeps one span stack."""
     global _pool
-    workers = min(_workers(), count - 1)
+    workers = min(_WORKERS, count - 1)
     todo, lock = iter(range(count)), threading.Lock()
 
     def drain() -> None:

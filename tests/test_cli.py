@@ -2,7 +2,10 @@ import base64
 import hashlib
 import os
 import platform
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,7 +193,7 @@ class TestManifests:
     def test_blas_threads_in_every_manifest(self, synth_csv, trained_checkpoint, tmp_path):
         """Checkpoint bytes depend on the BLAS thread count, so train, eval and
         benchmark manifests record it, and two benchmark runs stay byte-identical."""
-        expected = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS") or "unset"
+        expected = T.BLAS_THREADS
         eval_manifest = tmp_path / "eval.txt"
         code = main(["eval", "--data", str(synth_csv), "--checkpoint", str(trained_checkpoint), "--horizon", "1",
                      "--manifest", str(eval_manifest)])
@@ -209,6 +212,25 @@ class TestManifests:
             text = path.read_text()
             assert f"blas_threads={expected}\n" in text, path
             assert all(line in text for line in versions), path
+
+    def test_same_bytes_under_any_blas_environment(self, synth_csv, tmp_path):
+        """The package sets numpy's OpenBLAS to one thread at import, so no thread variable
+        of the caller's picks the code path or a byte, and each manifest states the count in force."""
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+        settings = [{}, {"OPENBLAS_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "01"},
+                    {"GOTO_NUM_THREADS": "1"}]
+        outputs = []
+        for run, setting in enumerate(settings):
+            out = tmp_path / f"run{run}"
+            proc = subprocess.run([sys.executable, "-m", "seizureformer.cli", "train", "--data", str(synth_csv),
+                                   "--horizon", "1", "--out-dir", str(out), "--set", "max_epochs=3"],
+                                  env=env | setting, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append([(out / name).read_bytes() for name in ("checkpoint.txt", "history.csv", "manifest.txt")])
+            assert b"blas_threads=1\n" in outputs[-1][2], setting
+        for setting, files in zip(settings[1:], outputs[1:]):
+            assert files == outputs[0], setting
 
 
 class TestEvalCommand:

@@ -1124,12 +1124,27 @@ class TestPooledBackward:
 
     @pytest.mark.parametrize("blas, workers", [("1", 3), ("unset", 0), ("4", 0)])
     def test_pool_only_beside_a_one_thread_blas(self, monkeypatch, blas, workers):
-        """A BLAS that runs a thread per CPU already keeps every core busy; ``_WORKERS`` overrides."""
-        monkeypatch.setattr(T, "BLAS_THREADS", blas)
+        """Without numpy's OpenBLAS (no library, or one without the symbols) the environment
+        gives the thread count: a BLAS that runs a thread per CPU already keeps every core
+        busy, so the pool runs only beside a one-thread BLAS.  ``_WORKERS`` overrides."""
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        if blas != "unset":
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-        assert T._workers() == workers
-        monkeypatch.setattr(T, "_WORKERS", 2)
-        assert T._workers() == 2
+
+        def no_library(path):
+            raise OSError(f"{path}: cannot open shared object file")
+
+        for cdll in (no_library, lambda path: object()):
+            monkeypatch.setattr(T.ctypes, "CDLL", cdll)
+            assert T._execution_config() == (blas, workers)
+        monkeypatch.setattr(T.glob, "glob", lambda pattern: [])
+        assert T._execution_config() == (blas, workers)
+
+        monkeypatch.setattr(T, "_WORKERS", 2)  # the caller and both workers must run at once to pass
+        barrier = threading.Barrier(3, timeout=30)
+        T._run_chunks(lambda i: barrier.wait(), 3)
 
     def test_forked_child_runs_its_own_products(self, monkeypatch):
         """A fork copies the pool but not its threads: the child runs every chunk and product itself."""
