@@ -25,8 +25,10 @@ compared and scaled in place), and the tie-grouping loops of ``roc_auc`` /
 ``clip``, ``sub``, ``neg``, ``power``, ``tsum``) are kept here, with the
 composite loss built from them (replaced by the one-node ``weighted_bce``) and
 a differentiable ``conv1d`` (the package's forward, the per-tap VJP; the
-package's ``conv1d`` is forward-only).  The baseline objective
-gradients live here too, since only tests evaluate them.
+package's ``conv1d`` is forward-only).  The baseline objectives and their
+gradients live here too, since only tests evaluate them, with the
+first-order ascents (Barzilai-Borwein logistic, backtracking Poisson) that
+the baselines' Newton solver replaced.
 """
 
 import csv
@@ -643,6 +645,103 @@ def poisson_gradient(w: np.ndarray, x: np.ndarray, targets: np.ndarray, l2: floa
     """Gradient of the mean log-link Poisson log-likelihood minus (l2/2)||w[:-1]||^2."""
     t = np.asarray(targets, dtype=np.float64)
     return x.T @ (t - np.exp(x @ w)) / len(t) - l2 * _unpenalized_intercept(w)
+
+
+def logistic_objective(w: np.ndarray, x: np.ndarray, y: np.ndarray, l2: float = 1e-4) -> float:
+    """Mean Bernoulli log-likelihood minus (l2/2)||w[:-1]||^2."""
+    y = np.asarray(y, dtype=np.float64)
+    eta = x @ w
+    return float(np.mean(y * eta - np.logaddexp(0.0, eta)) - 0.5 * l2 * np.sum(_unpenalized_intercept(w) ** 2))
+
+
+def poisson_objective(w: np.ndarray, x: np.ndarray, targets: np.ndarray, l2: float = 1e-4) -> float:
+    """Mean log-link Poisson log-likelihood (without the log t! constant) minus (l2/2)||w[:-1]||^2."""
+    t = np.asarray(targets, dtype=np.float64)
+    eta = x @ w
+    return float(np.mean(t * eta - np.exp(eta)) - 0.5 * l2 * np.sum(_unpenalized_intercept(w) ** 2))
+
+
+ASCENT_GRAD_TOL = 1e-6
+ASCENT_MAX_ITER = 10_000
+
+
+def _lipschitz_bound(x: np.ndarray, curvature: float, l2: float) -> float:
+    # power iteration on X^T X gives the top eigenvalue deterministically
+    v = np.ones(x.shape[1]) / np.sqrt(x.shape[1])
+    lam = 1.0
+    for _ in range(50):
+        v = x.T @ (x @ v)
+        lam = np.linalg.norm(v)
+        if lam == 0:
+            return l2 + 1e-12
+        v = v / lam
+    return curvature * lam / x.shape[0] + l2
+
+
+def bb_logistic_ascent(x: np.ndarray, y: np.ndarray, l2: float = 1e-4) -> tuple[np.ndarray, bool]:
+    """The first-order logistic fit the Newton solver replaced: (weights, converged).
+
+    Full-batch gradient ascent with Barzilai-Borwein step sizes (falling back
+    to 1/L when the curvature estimate is unusable).
+    """
+    y = np.asarray(y, dtype=np.float64)
+    n = len(y)
+    w = np.zeros(x.shape[1])
+    base_lr = 1.0 / _lipschitz_bound(x, 0.25, l2)
+    w_prev = grad_prev = None
+    converged = False
+    for _ in range(ASCENT_MAX_ITER):
+        grad = x.T @ (y - _stable_sigmoid(x @ w)) / n - l2 * _unpenalized_intercept(w)
+        if np.linalg.norm(grad) < ASCENT_GRAD_TOL:
+            converged = True
+            break
+        if grad_prev is None:
+            alpha = base_lr
+        else:
+            s = w - w_prev
+            curve = s @ (grad_prev - grad)
+            alpha = min(s @ s / curve, 1e8) if curve > 1e-30 else base_lr
+        w_prev, grad_prev = w, grad
+        w = w + alpha * grad
+    return w, converged
+
+
+def backtracking_poisson_ascent(x: np.ndarray, targets: np.ndarray, l2: float = 1e-4) -> tuple[np.ndarray, bool]:
+    """The first-order Poisson fit the Newton solver replaced: (weights, converged).
+
+    Gradient ascent with halving backtracking from step 1 on every iteration,
+    which keeps exp(X w) finite.
+    """
+    t = np.asarray(targets, dtype=np.float64)
+    n = len(t)
+
+    def objective(w: np.ndarray) -> float:
+        eta = x @ w
+        with np.errstate(over="ignore"):
+            lam = np.exp(eta)
+        if not np.all(np.isfinite(lam)):
+            return -np.inf
+        return float((t * eta - lam).mean() - 0.5 * l2 * np.sum(_unpenalized_intercept(w) ** 2))
+
+    w = np.zeros(x.shape[1])
+    current = objective(w)
+    converged = False
+    for _ in range(ASCENT_MAX_ITER):
+        with np.errstate(over="ignore"):
+            lam = np.exp(x @ w)
+        grad = x.T @ (t - lam) / n - l2 * _unpenalized_intercept(w)
+        gnorm = np.linalg.norm(grad)
+        if gnorm < ASCENT_GRAD_TOL:
+            converged = True
+            break
+        step = 1.0
+        proposal = objective(w + step * grad)
+        while proposal < current + 1e-4 * step * gnorm**2 and step > 1e-18:
+            step *= 0.5
+            proposal = objective(w + step * grad)
+        w = w + step * grad
+        current = proposal
+    return w, converged
 
 
 def naive_conv2d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import seizureformer
-from seizureformer import cli, gradcheck, kv
+from seizureformer import baselines, cli, gradcheck, kv
 from seizureformer import tensor as T
 from seizureformer.cli import load_run_config, main
 from seizureformer.data import parse_csv, zscore_normalize
@@ -389,6 +389,13 @@ class TestExportPlotCommand:
         assert 'fill="#d62728"' not in svg_out.read_text()
 
 
+def _raising(error):
+    def broken_split(samples):
+        raise error("injected")
+
+    return broken_split
+
+
 class TestBenchmarkCommand:
     def test_tiny_benchmark_table(self, tmp_path):
         out = tmp_path / "table.csv"
@@ -418,13 +425,15 @@ class TestBenchmarkCommand:
         reasons = (tmp_path / "na.csv.na").read_text().splitlines()
         assert [r.split(":")[0] for r in reasons] == [l.removesuffix(",NA,NA") for l in rows]
 
-    @pytest.mark.parametrize("error, code", [(ValueError, 1), (FloatingPointError, 3)])
-    def test_cell_bug_is_not_na(self, tmp_path, monkeypatch, error, code):
-        """Only degenerate data (DataError) makes a cell NA; a bug exits under its own code."""
-        def broken_split(samples):
-            raise error("injected")
-
-        monkeypatch.setattr(cli, "split_chronological", broken_split)
+    @pytest.mark.parametrize("target, name, value, code", [
+        pytest.param(cli, "split_chronological", _raising(ValueError), 1, id="ValueError-1"),
+        pytest.param(cli, "split_chronological", _raising(FloatingPointError), 3, id="FloatingPointError-3"),
+        pytest.param(baselines, "MAX_ITER", 1, 3, id="unconverged-fit-3"),
+    ])
+    def test_cell_bug_is_not_na(self, tmp_path, monkeypatch, target, name, value, code):
+        """Only degenerate data (DataError) makes a cell NA; a bug, or a baseline fit that
+        stops at its step cap, exits under its own code and prints no number."""
+        monkeypatch.setattr(target, name, value)
         out = tmp_path / "t.csv"
         assert main(["benchmark", "--cohort-seeds", "1", "--horizons", "1", "--days", "240", "--out", str(out)]
                     + FAST_TRAIN) == code
