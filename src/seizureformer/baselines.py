@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataError, WindowSample, WindowSet, samples_to_arrays
-from .tensor import Tensor, matmul, sigmoid
+from .tensor import Tensor, _sigmoid, add, matmul, sigmoid
 
 GRAD_TOL = 1e-6
 MAX_ITER = 100
@@ -70,11 +70,6 @@ def _newton_fit(kind: str, x: np.ndarray, loglik, moments, l2: float) -> Baselin
         w = w + step * direction
         current = proposal
     raise FloatingPointError(f"{kind} fit did not reach gradient norm {GRAD_TOL} in {MAX_ITER} Newton steps")
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    t = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
 
 
 def logistic_fit(x: np.ndarray, y: np.ndarray, l2: float = 1e-4) -> BaselineModel:
@@ -154,5 +149,5 @@ class DLinearModel:
         trends, seasonals = decompose_window(np.transpose(x, (0, 2, 1)))
         t_flat = Tensor(trends.reshape(batch, -1))
         s_flat = Tensor(seasonals.reshape(batch, -1))
-        logits = matmul(t_flat, self.params["trend.weight"]) + matmul(s_flat, self.params["seasonal.weight"])
-        return sigmoid(logits + self.params["bias"])
+        logits = add(matmul(t_flat, self.params["trend.weight"]), matmul(s_flat, self.params["seasonal.weight"]))
+        return sigmoid(add(logits, self.params["bias"]))

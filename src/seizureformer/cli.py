@@ -253,10 +253,17 @@ def _benchmark_cell(kind: str, samples, run_cfg: RunConfig, cell_seed: int):
     return rep.roc_auc, rep.pr_auc
 
 
+def _int_list(flag: str, text: str) -> list[int]:
+    """The integers of a comma-separated flag value; blank entries are skipped."""
+    try:
+        return [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ValueError(f"{flag} takes comma-separated integers, got {text!r}") from None
+
+
 def cmd_benchmark(args) -> int:
     run_cfg = load_run_config(args.config, args.set)
-    seeds = [int(s) for s in args.cohort_seeds.split(",") if s.strip()]
-    horizons = [int(h) for h in args.horizons.split(",") if h.strip()]
+    seeds, horizons = _int_list("--cohort-seeds", args.cohort_seeds), _int_list("--horizons", args.horizons)
     if not horizons or len(set(horizons)) != len(horizons):
         raise ValueError(f"benchmark horizons must be one or more distinct values, got {args.horizons!r}")
     for h in horizons:

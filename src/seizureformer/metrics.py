@@ -21,12 +21,12 @@ class MetricsReport:
     pr_auc: float
     n_pos: int
     n_neg: int
-    scores: list[float]
-    labels: list[int]
+    scores: np.ndarray  # float64, as scored
+    labels: np.ndarray  # int64, 0 or 1
 
 
 def _validate(scores, labels) -> tuple[np.ndarray, np.ndarray]:
-    s = np.asarray(scores, dtype=np.float64)
+    s = np.array(scores, dtype=np.float64)  # a copy: a report keeps it, whatever the caller does next
     y = np.asarray(labels)
     if s.ndim != 1 or y.ndim != 1 or len(s) != len(y):
         raise ValueError("scores and labels must be equal-length vectors")
@@ -82,6 +82,6 @@ def report(scores, labels) -> MetricsReport:
         pr_auc=pr_auc(s, y),
         n_pos=int(y.sum()),
         n_neg=int(len(y) - y.sum()),
-        scores=[float(v) for v in s],
-        labels=[int(v) for v in y],
+        scores=s,
+        labels=y,
     )

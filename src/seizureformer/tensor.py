@@ -4,10 +4,11 @@ Every operation returns a new :class:`Tensor` carrying a vector-Jacobian
 closure; calling ``backward()`` on a scalar result walks the recorded graph
 in reverse topological order and accumulates ``.grad`` on every tensor that
 requires gradients.  The op set is only what the patch-attention classifier
-runs: add/mul, matmul by a 2-D weight, reshape, a last-axis gather, mean,
-sigmoid/relu, dropout, 2D cross-correlation, a folded linear patch embedding
-and a whole pre-norm encoder layer (the loss is one node in ``model``), plus a
-forward-only 1D cross-correlation and a finite-difference checker.
+runs: add/mul, matmul by a 2-D weight, reshape, mean, sigmoid/relu, dropout,
+2D cross-correlation, a folded linear patch embedding and a whole pre-norm
+encoder layer (the loss is one node and the patch gather forward-only, both in
+``model``), plus a forward-only 1D cross-correlation and a finite-difference
+checker.
 
 Inside a ``with no_grad():`` block operations record nothing: results carry
 no parents and no closure, so each intermediate is freed as soon as the next
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import ctypes
 import glob
+import math
 import os
 import threading
 from collections.abc import Callable, Iterator, Sequence
@@ -42,8 +44,6 @@ _CONV2D_CHUNK = 32  # batch slices per step of conv2d's kernel-grad sum
 _CHUNK_ROWS = 1024  # per encoder chunk, forward and backward: two at default widths and batch 64
 _pool = None  # (size, ThreadPoolExecutor), started by the first call that has work for a worker
 _pool_lock = threading.Lock()
-
-_AxesArg = int | Sequence[int] | None
 
 
 def _execution_config() -> tuple[str, int]:
@@ -118,14 +118,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # -- operator sugar -------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    def __mul__(self, other):
-        return mul(self, _lift(other))
-
     def backward(self) -> None:
         """Populate ``.grad`` on every reachable tensor requiring gradients.
 
@@ -169,12 +161,6 @@ class Tensor:
                 raise FloatingPointError("backward produced non-finite gradients")
 
 
-def _lift(value) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=np.float64))
-
-
 def _result(data: Array, parents: tuple[Tensor, ...], vjp: Callable[[Array], None]) -> Tensor:
     if not np.all(np.isfinite(data)):
         raise FloatingPointError("operation produced non-finite values")
@@ -212,23 +198,6 @@ def _sum_to_shape(g: Array, shape: tuple[int, ...]) -> Array:
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g.reshape(shape)
-
-
-def _norm_axes(axes: _AxesArg, ndim: int) -> tuple[int, ...]:
-    if axes is None:
-        return tuple(range(ndim))
-    if isinstance(axes, int):
-        axes = (axes,)
-    out = []
-    for ax in axes:
-        if ax < 0:
-            ax += ndim
-        if not 0 <= ax < ndim:
-            raise ValueError(f"axis {ax} out of range for {ndim}-d tensor")
-        out.append(ax)
-    if len(set(out)) != len(out):
-        raise ValueError("duplicate reduction axes")
-    return tuple(sorted(out))
 
 
 def zero_grad(params: dict[str, Tensor]) -> None:
@@ -297,36 +266,16 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return _result(data, (a,), vjp)
 
 
-def take_last(a: Tensor, idx: Array) -> Tensor:
-    """Fancy-index the last axis; output shape is ``a.shape[:-1] + idx.shape``."""
-    idx = np.asarray(idx, dtype=np.int64)
-    length = a.data.shape[-1]
-    if idx.size and (idx.min() < 0 or idx.max() >= length):
-        raise ValueError("gather index out of range")
-    data = a.data[..., idx]
-
-    def vjp(g: Array) -> None:
-        if a.requires_grad:
-            ga = np.zeros(a.data.shape)  # C-contiguous, so the reshape below is a view
-            flat = ga.reshape(-1, length)
-            rows = flat.shape[0]
-            gb = g.reshape(rows, idx.size)
-            np.add.at(flat, (np.arange(rows)[:, None], idx.reshape(-1)[None, :]), gb)
-            _accum(a, ga)
-
-    return _result(data, (a,), vjp)
-
-
 # -- reductions ----------------------------------------------------------
 
 
-def mean(a: Tensor, axes: _AxesArg = None, keepdims: bool = False) -> Tensor:
-    axes = _norm_axes(axes, a.ndim)
-    count = int(np.prod([a.data.shape[ax] for ax in axes])) if axes else 1
-    data = a.data.mean(axis=axes, keepdims=keepdims)
+def mean(a: Tensor, axes: tuple[int, ...]) -> Tensor:
+    """The mean over ``axes``, which numpy checks; the reduced axes are dropped."""
+    data = a.data.mean(axis=axes)
+    count = math.prod(a.data.shape[ax] for ax in axes)
 
     def vjp(g: Array) -> None:
-        _accum(a, np.broadcast_to(g if keepdims else np.expand_dims(g, axes), a.data.shape) / count)
+        _accum(a, np.broadcast_to(np.expand_dims(g, axes), a.data.shape) / count)
 
     return _result(data, (a,), vjp)
 
@@ -334,10 +283,14 @@ def mean(a: Tensor, axes: _AxesArg = None, keepdims: bool = False) -> Tensor:
 # -- nonlinearities -------------------------------------------------------
 
 
+def _sigmoid(z: Array) -> Array:
+    """1 / (1 + exp(-z)) from exp(-|z|), which never overflows, so both branches stay finite."""
+    t = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    # exp(-|x|) never overflows, so both branches stay finite
-    t = np.exp(-np.abs(a.data))
-    data = np.where(a.data >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    data = _sigmoid(a.data)
 
     def vjp(g: Array) -> None:
         _accum(a, g * data * (1.0 - data))

@@ -21,10 +21,12 @@ by array ops on a ``WindowSet``), the pairwise gap loop over records
 inverse-CDF sampler (replaced by the masked array recurrence), the
 dropout keep-mask as one compare-then-divide expression (replaced by draws
 compared and scaled in place), and the tie-grouping loops of ``roc_auc`` /
-``pr_auc``.  The ops that only the loss and gradient checks used (``log``,
-``clip``, ``sub``, ``neg``, ``power``, ``tsum``) are kept here, with the
-composite loss built from them (replaced by the one-node ``weighted_bce``) and
-a differentiable ``conv1d`` (the package's forward, the per-tap VJP; the
+``pr_auc``.  The ops that only the loss, the gradient checks and these
+oracles used (``log``, ``clip``, ``sub``, ``neg``, ``power``, ``tsum``, the
+last-axis gather ``take_last`` with its scatter VJP, which ``patchify`` ran
+through before it became forward-only, and ``mean`` over any axes with
+``keepdims``) are kept here, with the composite loss built from them
+(replaced by the one-node ``weighted_bce``) and a differentiable ``conv1d`` (the package's forward, the per-tap VJP; the
 package's ``conv1d`` is forward-only).  The baseline objectives and their
 gradients live here too, since only tests evaluate them, with the
 first-order ascents (Barzilai-Borwein logistic, backtracking Poisson) that
@@ -198,13 +200,69 @@ def clip(a: T.Tensor, lo: float, hi: float) -> T.Tensor:
     return T._result(np.clip(a.data, lo, hi), (a,), vjp)
 
 
+def take_last(a: T.Tensor, idx: np.ndarray) -> T.Tensor:
+    """The last-axis gather op as the package had it before ``patchify`` became
+    forward-only: output shape is ``a.shape[:-1] + idx.shape``, scatter-add VJP."""
+    idx = np.asarray(idx, dtype=np.int64)
+    length = a.data.shape[-1]
+    if idx.size and (idx.min() < 0 or idx.max() >= length):
+        raise ValueError("gather index out of range")
+    data = a.data[..., idx]
+
+    def vjp(g):
+        if a.requires_grad:
+            ga = np.zeros(a.data.shape)  # C-contiguous, so the reshape below is a view
+            flat = ga.reshape(-1, length)
+            rows = flat.shape[0]
+            gb = g.reshape(rows, idx.size)
+            np.add.at(flat, (np.arange(rows)[:, None], idx.reshape(-1)[None, :]), gb)
+            T._accum(a, ga)
+
+    return T._result(data, (a,), vjp)
+
+
+def gather_patches(a: T.Tensor, patch_length: int, stride: int) -> T.Tensor:
+    """``patchify`` as the package had it: the strided patch indices through ``take_last``."""
+    count = (a.shape[-1] - patch_length) // stride + 1
+    return take_last(a, stride * np.arange(count)[:, None] + np.arange(patch_length)[None, :])
+
+
+def _norm_axes(axes, ndim: int) -> tuple:
+    if axes is None:
+        return tuple(range(ndim))
+    if isinstance(axes, int):
+        axes = (axes,)
+    out = []
+    for ax in axes:
+        if ax < 0:
+            ax += ndim
+        if not 0 <= ax < ndim:
+            raise ValueError(f"axis {ax} out of range for {ndim}-d tensor")
+        out.append(ax)
+    if len(set(out)) != len(out):
+        raise ValueError("duplicate reduction axes")
+    return tuple(sorted(out))
+
+
+def mean(a: T.Tensor, axes=None, keepdims: bool = False) -> T.Tensor:
+    """The mean op as the package had it: any axes (all by default), optional ``keepdims``."""
+    axes = _norm_axes(axes, a.ndim)
+    count = int(np.prod([a.data.shape[ax] for ax in axes])) if axes else 1
+    data = a.data.mean(axis=axes, keepdims=keepdims)
+
+    def vjp(g):
+        T._accum(a, np.broadcast_to(g if keepdims else np.expand_dims(g, axes), a.data.shape) / count)
+
+    return T._result(data, (a,), vjp)
+
+
 def composite_weighted_bce(y_hat: T.Tensor, y, pos_weight: float = 1.0) -> T.Tensor:
     """The weighted BCE as the package built it before the one-node loss: an 11-node graph."""
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     p = clip(T.reshape(y_hat, (y.size,)), LOSS_EPS, 1.0 - LOSS_EPS)
-    pos_term = T.mul(T.Tensor(y), log(p)) * pos_weight
+    pos_term = T.mul(T.mul(T.Tensor(y), log(p)), T.Tensor(pos_weight))
     neg_term = T.mul(T.Tensor(1.0 - y), log(sub(T.Tensor(1.0), p)))
-    return neg(T.mean(pos_term + neg_term))
+    return neg(mean(T.add(pos_term, neg_term)))
 
 
 def conv1d(a: T.Tensor, weight: T.Tensor, bias: T.Tensor | None = None, padding: str = "same") -> T.Tensor:
@@ -240,13 +298,13 @@ def composed_embed(patches: T.Tensor, cfg, params: dict) -> T.Tensor:
     positional table."""
     if cfg.use_cnn_embed:
         feats = [
-            T.mean(conv1d(patches, params[f"embed.conv{i}.weight"], params[f"embed.conv{i}.bias"]), axes=-2)
+            mean(conv1d(patches, params[f"embed.conv{i}.weight"], params[f"embed.conv{i}.bias"]), axes=-2)
             for i in range(len(cfg.kernel_sizes))
         ]
         embedded = concat(feats, axis=-1)
     else:
         embedded = T.matmul(patches, params["embed.linear.weight"])
-    return T.matmul(embedded, params["proj.weight"]) + params["proj.pos"]
+    return T.add(T.matmul(embedded, params["proj.weight"]), params["proj.pos"])
 
 
 def layer_norm_vjp(g, xhat, inv, gamma: T.Tensor, beta: T.Tensor) -> np.ndarray:
@@ -281,10 +339,10 @@ def layer_norm(x: T.Tensor, gamma: T.Tensor, beta: T.Tensor, eps: float) -> T.Te
 
 def composed_layer_norm(x: T.Tensor, gamma: T.Tensor, beta: T.Tensor, eps: float) -> T.Tensor:
     """Layer norm over the last axis as a graph of primitive ops."""
-    mu = T.mean(x, axes=-1, keepdims=True)
+    mu = mean(x, axes=-1, keepdims=True)
     centered = sub(x, mu)
-    var = T.mean(T.mul(centered, centered), axes=-1, keepdims=True)
-    return T.mul(centered, power(var + eps, -0.5)) * gamma + beta
+    var = mean(T.mul(centered, centered), axes=-1, keepdims=True)
+    return T.add(T.mul(T.mul(centered, power(T.add(var, T.Tensor(eps)), -0.5)), gamma), beta)
 
 
 def _sum_to_shape(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -356,12 +414,12 @@ def per_head_mhsa_encoder(x: T.Tensor, cfg, params: dict) -> T.Tensor:
             q = broadcast_matmul(normed, params[f"{base}.attn.head{j}.wq"])
             k = broadcast_matmul(normed, params[f"{base}.attn.head{j}.wk"])
             v = broadcast_matmul(normed, params[f"{base}.attn.head{j}.wv"])
-            attn = softmax(broadcast_matmul(q, transpose_last2(k)) * scale)
+            attn = softmax(T.mul(broadcast_matmul(q, transpose_last2(k)), T.Tensor(scale)))
             head_outs.append(broadcast_matmul(attn, v))
-        x = x + broadcast_matmul(concat(head_outs, axis=-1), params[f"{base}.attn.wo"])
+        x = T.add(x, broadcast_matmul(concat(head_outs, axis=-1), params[f"{base}.attn.wo"]))
         normed = composed_layer_norm(x, params[f"{base}.ln2.gamma"], params[f"{base}.ln2.beta"], 1e-5)
-        hidden = T.relu(broadcast_matmul(normed, params[f"{base}.ffn.w1"]) + params[f"{base}.ffn.b1"])
-        x = x + (broadcast_matmul(hidden, params[f"{base}.ffn.w2"]) + params[f"{base}.ffn.b2"])
+        hidden = T.relu(T.add(broadcast_matmul(normed, params[f"{base}.ffn.w1"]), params[f"{base}.ffn.b1"]))
+        x = T.add(x, T.add(broadcast_matmul(hidden, params[f"{base}.ffn.w2"]), params[f"{base}.ffn.b2"]))
     return x
 
 
@@ -378,16 +436,16 @@ def graph_mhsa_encoder(x: T.Tensor, cfg, params: dict, training=False, rng=None,
             q = T.matmul(normed, params[f"{base}.attn.head{j}.wq"])
             k = T.matmul(normed, params[f"{base}.attn.head{j}.wk"])
             v = T.matmul(normed, params[f"{base}.attn.head{j}.wv"])
-            attn = softmax(broadcast_matmul(q, transpose_last2(k)) * scale)
+            attn = softmax(T.mul(broadcast_matmul(q, transpose_last2(k)), T.Tensor(scale)))
             if attn_sink is not None:
                 attn_sink.append(attn)
             head_outs.append(broadcast_matmul(attn, v))
         attended = T.matmul(concat(head_outs, axis=-1), params[f"{base}.attn.wo"])
-        x = x + T.dropout(attended, cfg.dropout_rate, training, rng)
+        x = T.add(x, T.dropout(attended, cfg.dropout_rate, training, rng))
         normed = layer_norm(x, params[f"{base}.ln2.gamma"], params[f"{base}.ln2.beta"], 1e-5)
-        hidden = T.relu(T.matmul(normed, params[f"{base}.ffn.w1"]) + params[f"{base}.ffn.b1"])
+        hidden = T.relu(T.add(T.matmul(normed, params[f"{base}.ffn.w1"]), params[f"{base}.ffn.b1"]))
         ff = T.matmul(hidden, params[f"{base}.ffn.w2"], params[f"{base}.ffn.b2"])
-        x = x + T.dropout(ff, cfg.dropout_rate, training, rng)
+        x = T.add(x, T.dropout(ff, cfg.dropout_rate, training, rng))
     return x
 
 

@@ -334,24 +334,27 @@ class TestGradcheckCommand:
         lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("PASS")]
         assert len(lines) > 30
 
-    def test_injected_bad_gradient_reported(self):
-        """A deliberately wrong vjp must surface as a failing check."""
+    def test_injected_bad_gradient_reported(self, monkeypatch, capsys):
+        """A deliberately wrong vjp among the op checks fails the command: exit 3, one
+        FAIL line naming it, and every other check passes."""
+        from oracles import tsum
 
         def bad_double(t):
-            from seizureformer.tensor import _result
-
             def vjp(g):
-                t.grad = g if t.grad is None else t.grad + g  # claims d/dt(2t) = 1
+                T._accum(t, g)  # claims d/dt(2t) = 1
 
-            doubled = _result(t.data * 2.0, (t,), vjp)
-            from oracles import tsum
+            return tsum(T._result(t.data * 2.0, (t,), vjp))
 
-            return tsum(doubled)
-
-        results = gradcheck.run_all(extra_checks=[("bad_double", bad_double, Tensor(np.ones(3)))])
-        by_name = {r.name: r for r in results}
-        assert not by_name["bad_double"].passed
-        assert all(r.passed for name, r in by_name.items() if name != "bad_double")
+        op_checks = gradcheck._op_checks
+        monkeypatch.setattr(gradcheck, "_op_checks",
+                            lambda rng: op_checks(rng) + [("bad_double", bad_double, Tensor(np.ones(3)))])
+        assert main(["gradcheck"]) == 3
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        failed = [l for l in lines[:-1] if not l.startswith("PASS ")]
+        assert len(failed) == 1 and failed[0].startswith("FAIL bad_double ")
+        assert lines[-1] == f"{len(lines) - 2}/{len(lines) - 1} gradient checks passed"
+        assert "1 gradient checks exceeded" in err
 
 
 class TestExportPlotCommand:
@@ -452,6 +455,14 @@ class TestBenchmarkCommand:
         assert code == 2
         assert out.read_text() == "old table\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv"]
+
+    @pytest.mark.parametrize("flag", ["--cohort-seeds", "--horizons"])
+    def test_non_integer_list_entry_names_the_flag(self, tmp_path, capsys, flag):
+        args = {"--cohort-seeds": "1", "--horizons": "1", flag: "1,x"}
+        out = tmp_path / "t.csv"
+        assert main(["benchmark", *(v for item in args.items() for v in item), "--out", str(out)]) == 1
+        assert f"{flag} takes comma-separated integers, got '1,x'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_duplicate_seeds_rejected(self, tmp_path):
         assert main(["benchmark", "--cohort-seeds", "1,1", "--horizons", "1", "--out", str(tmp_path / "t.csv")]) == 1

@@ -110,8 +110,10 @@ class TestMatchesTieLoops:
 
 class TestReport:
     def test_fields(self):
-        rep = report([0.9, 0.2, 0.7], [1, 0, 1])
+        scores, labels = np.array([0.9, 0.2, 0.7]), np.array([1, 0, 1])
+        rep = report(scores, labels)
+        scores[0], labels[0] = 0.0, 0  # the report keeps its own arrays
         assert rep.n_pos == 2 and rep.n_neg == 1
         assert 0.0 <= rep.roc_auc <= 1.0 and 0.0 <= rep.pr_auc <= 1.0
-        assert rep.scores == [0.9, 0.2, 0.7]
-        assert rep.labels == [1, 0, 1]
+        assert rep.scores.dtype == np.float64 and rep.scores.tolist() == [0.9, 0.2, 0.7]
+        assert rep.labels.dtype == np.int64 and rep.labels.tolist() == [1, 0, 1]

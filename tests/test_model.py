@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -29,6 +29,7 @@ from seizureformer.tensor import Tensor, grad_check
 from oracles import (
     composed_embed,
     composite_weighted_bce,
+    gather_patches,
     graph_mhsa_encoder,
     naive_conv1d,
     naive_conv2d,
@@ -106,6 +107,34 @@ class TestPatchify:
                     got = patchify(Tensor(np.zeros(n)), p, s).shape
                     assert got == ((n - p) // s + 1, p)
 
+    @given(lead=st.lists(st.integers(1, 3), max_size=3), length=st.integers(1, 12), patch_length=st.integers(1, 12),
+           stride=st.integers(1, 5), layout=st.sampled_from(["contiguous", "transposed", "stepped"]),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_gather_oracle_bytes(self, lead, length, patch_length, stride, layout, seed):
+        """The forward-only patches are the oracle gather's shape and bytes over 1-D to
+        4-D inputs, contiguous or not."""
+        assume(patch_length <= length)
+        rng = np.random.default_rng(seed)
+        if layout == "transposed":  # the last axis has the largest stride
+            x = rng.standard_normal((length, *lead[::-1])).T
+        elif layout == "stepped":  # every other element of a longer series
+            x = rng.standard_normal((*lead, 2 * length))[..., ::2]
+        else:
+            x = rng.standard_normal((*lead, length))
+        got = patchify(Tensor(x), patch_length, stride).data
+        want = gather_patches(Tensor(x), patch_length, stride).data
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_refuses_grad_requiring_input(self):
+        """Forward-only, like ``conv1d``: a recorded graph through it raises, and under
+        ``no_grad`` it slices as usual."""
+        x = Tensor(np.arange(10.0), requires_grad=True)
+        with pytest.raises(ValueError, match="forward-only"):
+            patchify(x, 4, 2)
+        with T.no_grad():
+            assert patchify(x, 4, 2).data.tobytes() == patchify(Tensor(x.data), 4, 2).data.tobytes()
+
 
 def _embed_params(cfg, seed, **fixed):
     """``init_params`` with every embed/projection parameter drawn at random
@@ -165,7 +194,8 @@ class TestEmbedPatches:
     def test_matches_per_kernel_oracle(self, kernel_sizes, patch_length, stride, extra, channels, features,
                                        use_cnn_embed, seed):
         """The folded (P, D) map against the per-kernel conv1d -> mean -> concat ->
-        proj + pos chain it replaced, both branches: values and every gradient."""
+        proj + pos chain it replaced, both branches: values and every gradient from the
+        patches on (``patchify`` is forward-only)."""
         cfg = ModelConfig(lookback=patch_length + extra, patch_length=patch_length, stride=stride,
                           channels=channels, kernel_sizes=kernel_sizes, embed_features=features,
                           embed_dim=3, heads=1, use_cnn_embed=use_cnn_embed)
@@ -174,9 +204,10 @@ class TestEmbedPatches:
         rng = np.random.default_rng(seed + 1)
         x = rng.standard_normal((2, channels, cfg.lookback))
         g = Tensor(rng.standard_normal((2, channels, cfg.patch_count, cfg.embed_dim)))
-        xt, xo = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
-        out = embed_patches(patchify(xt, patch_length, stride), cfg, params)
-        ref = composed_embed(patchify(xo, patch_length, stride), cfg, oracle_params)
+        patches = patchify(Tensor(x), patch_length, stride).data
+        xt, xo = Tensor(patches, requires_grad=True), Tensor(patches, requires_grad=True)
+        out = embed_patches(xt, cfg, params)
+        ref = composed_embed(xo, cfg, oracle_params)
         assert_allclose(out.data, ref.data, rtol=1e-12, atol=1e-12)
 
         tsum(T.mul(out, g)).backward()
@@ -441,10 +472,10 @@ class TestForward:
         model = small_model(seed=3)
         x = np.random.default_rng(23).standard_normal((4, 2, 16))
         pre_se = _forward_until_se(model, x)
-        expected = T.sigmoid(
-            T.matmul(T.reshape(pre_se, (4, model.config.flat_dim)), model.params["head.weight"])
-            + model.params["head.bias"]
-        ).data
+        expected = T.sigmoid(T.add(
+            T.matmul(T.reshape(pre_se, (4, model.config.flat_dim)), model.params["head.weight"]),
+            model.params["head.bias"],
+        )).data
         flag_off = forward(x, dataclasses.replace(model.config, use_se=False), model.params).data
         assert np.array_equal(flag_off, expected)
         assert not np.array_equal(flag_off, model.forward(x).data)

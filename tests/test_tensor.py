@@ -35,6 +35,7 @@ from oracles import (
     per_tap_conv2d,
     per_tap_conv2d_vjp,
     softmax,
+    take_last,
     tsum,
 )
 
@@ -115,7 +116,7 @@ class TestMatmulFold:
         out = T.matmul(*got)
         expected = broadcast_matmul(ref[0], ref[1])
         if with_bias:
-            expected = expected + ref[2]
+            expected = T.add(expected, ref[2])
         assert_allclose(out.data, expected.data, rtol=0, atol=1e-12)
 
         g = Tensor(rng.standard_normal(out.shape))
@@ -257,9 +258,10 @@ class TestLayerNorm:
 
 class TestTakeLast:
     def test_gradient_on_non_contiguous_input(self):
-        """Regression: a transposed input used to get an all-zero gradient."""
+        """Regression for the oracle gather that ``patchify`` replaced: a transposed input
+        used to get an all-zero gradient."""
         x = Tensor(np.ones((2, 3, 4)).transpose(2, 1, 0), requires_grad=True)  # (4, 3, 2), not C-ordered
-        tsum(T.take_last(x, np.array([1]))).backward()
+        tsum(take_last(x, np.array([1]))).backward()
         assert x.grad.sum() == 12.0
         assert_allclose(x.grad[..., 1], 1.0)
         assert_allclose(x.grad[..., 0], 0.0)
@@ -385,11 +387,11 @@ class TestPointwise:
         assert_allclose(T.relu(Tensor([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
 
     def test_mean(self):
-        assert T.mean(Tensor([1.0, 2.0, 3.0])).item() == 2.0
+        assert T.mean(Tensor([1.0, 2.0, 3.0]), (0,)).item() == 2.0
 
     def test_mean_invalid_axis(self):
         with pytest.raises(ValueError, match="axis"):
-            T.mean(Tensor([1.0, 2.0]), axes=2)
+            T.mean(Tensor([1.0, 2.0]), (2,))
 
     def test_log_of_zero_raises(self):
         with pytest.raises(FloatingPointError):
@@ -464,7 +466,7 @@ class TestBackward:
     def test_non_scalar_root_errors(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ValueError, match="scalar"):
-            (x + x).backward()
+            T.add(x, x).backward()
 
     def test_unrecorded_graph_errors(self):
         with pytest.raises(ValueError, match="requiring gradients"):
@@ -476,16 +478,16 @@ class TestBackward:
         loss = A + B with A = 2C and B = C * A gives dC = 2 + 4C exactly.
         """
         c = Tensor([1.5], requires_grad=True)
-        a = c * 2.0
+        a = T.mul(c, Tensor(2.0))
         b = T.mul(c, a)
-        tsum(a + b).backward()
+        tsum(T.add(a, b)).backward()
         assert_allclose(c.grad, [2.0 + 4.0 * 1.5])
 
     def test_each_node_visited_once(self):
         # a diamond where double-counting would show up as a doubled gradient
         x = Tensor([3.0], requires_grad=True)
-        y = x * 1.0
-        tsum(y + y).backward()
+        y = T.mul(x, Tensor(1.0))
+        tsum(T.add(y, y)).backward()
         assert_allclose(x.grad, [2.0])
 
 
@@ -502,7 +504,7 @@ class TestGradCheck:
         rng = np.random.default_rng(0)
 
         def noisy(t):
-            return tsum(t) * float(rng.random())
+            return T.mul(tsum(t), Tensor(float(rng.random())))
 
         with pytest.raises(ValueError, match="deterministic"):
             grad_check(noisy, Tensor(np.ones(2)))
@@ -514,8 +516,7 @@ class TestGradCheck:
     def test_run_all_reaches_every_op(self, monkeypatch):
         """Every public op of the tensor module is called by ``gradcheck.run_all``
         with an input that requires a gradient, so each one gets a finite-difference
-        check.  Operator sugar (``t + u``, ``t * u``) counts, since it calls the op.
-        ``conv1d`` is forward-only and refuses such an input (``TestConv1dForwardOnly``)."""
+        check.  ``conv1d`` is forward-only and refuses such an input (``TestConv1dForwardOnly``)."""
         non_ops = {"Tensor", "no_grad", "zero_grad", "grad_check", "conv1d"}
         ops = sorted(name for name, obj in vars(T).items() if callable(obj) and not name.startswith("_")
                      and getattr(obj, "__module__", None) == T.__name__ and name not in non_ops)
@@ -1006,9 +1007,9 @@ class TestPooledBackward:
 
         def build():
             rng_d = np.random.default_rng(1)
-            h = T.encoder_layer(T.matmul(x * b2, wo), *args, True, rng_d)
+            h = T.encoder_layer(T.matmul(T.mul(x, b2), wo), *args, True, rng_d)
             h = T.encoder_layer(h, *args, True, rng_d)
-            return tsum(T.mul(h, h)) + tsum(T.matmul(h, w1))
+            return T.add(tsum(T.mul(h, h)), tsum(T.matmul(h, w1)))
 
         serial = _grad_bytes(0, build, leaves)
         for workers in (1, 3):
@@ -1178,7 +1179,7 @@ class TestLeanRecordedLayer:
                 base = tracemalloc.get_traced_memory()[0]
                 out = T.encoder_layer(x, *args, True, np.random.default_rng(1))
                 kept = tracemalloc.get_traced_memory()[0] - base
-                T.mean(out).backward()
+                T.mean(out, (0, 1, 2)).backward()
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()

@@ -91,10 +91,8 @@ class _ScriptedModel:
     def forward(self, x, training=False, rng=None):
         n = x.shape[0]
         if training:
-            logits = Tensor(np.zeros((n, 1))) + self.params["w"] * 0.0
-            from seizureformer.tensor import sigmoid
-
-            return sigmoid(logits)
+            logits = T.add(Tensor(np.zeros((n, 1))), T.mul(self.params["w"], Tensor(0.0)))
+            return T.sigmoid(logits)
         scores = self.per_epoch_scores[min(self.eval_calls, len(self.per_epoch_scores) - 1)]
         self.eval_calls += 1
         return Tensor(np.asarray(scores[:n], dtype=float).reshape(n, 1))
@@ -255,7 +253,7 @@ class TestEvaluate:
             out = model.forward(x[start : start + 8], training=False)
             assert out.requires_grad
             recorded.append(out.data.reshape(-1))
-        assert np.array(rep.scores).tobytes() == np.concatenate(recorded).tobytes()
+        assert rep.scores.tobytes() == np.concatenate(recorded).tobytes()
 
     @pytest.mark.parametrize("workers", [0, 1, 3])
     def test_scores_same_for_any_worker_count(self, monkeypatch, workers):
@@ -267,7 +265,7 @@ class TestEvaluate:
         recorded = model.forward(x, training=False)
         assert recorded.requires_grad
         monkeypatch.setattr(T, "_WORKERS", workers)
-        assert np.array(evaluate(model, samples).scores).tobytes() == recorded.data.reshape(-1).tobytes()
+        assert evaluate(model, samples).scores.tobytes() == recorded.data.reshape(-1).tobytes()
 
     def test_forward_keeps_no_graph(self):
         model = tiny_model(seed=9)
