@@ -39,23 +39,15 @@ from .tensor import BLAS_THREADS
 from .kv import write_manifest
 from .train import TrainConfig, evaluate, train_loop
 
+# in benchmark row order: each becomes a "seizureformer-no-<name>" model
 ABLATIONS = {
     "cnn": {"use_cnn_embed": False},
-    "cvt": {"use_cvt": False},
     "se": {"use_se": False},
+    "cvt": {"use_cvt": False},
     "all": {"use_cnn_embed": False, "use_cvt": False, "use_se": False},
 }
 
-BENCHMARK_MODELS = (
-    "seizureformer",
-    "seizureformer-no-cnn",
-    "seizureformer-no-se",
-    "seizureformer-no-cvt",
-    "seizureformer-no-all",
-    "logistic",
-    "poisson",
-    "dlinear",
-)
+BENCHMARK_MODELS = ("seizureformer", *(f"seizureformer-no-{a}" for a in ABLATIONS), "logistic", "poisson", "dlinear")
 
 
 @dataclass
@@ -154,9 +146,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     run_cfg = load_run_config(args.config, args.set)
-    if args.ablate:
-        for key, value in ABLATIONS[args.ablate].items():
-            setattr(run_cfg.model, key, value)
+    run_cfg.model = dataclasses.replace(run_cfg.model, **ABLATIONS.get(args.ablate, {}))
     if args.horizon not in run_cfg.horizons:
         raise ValueError(f"horizon {args.horizon} not in configured horizons {run_cfg.horizons}")
 
@@ -241,10 +231,7 @@ def _benchmark_cell(kind: str, samples, run_cfg: RunConfig, cell_seed: int):
             rng = np.random.default_rng(cell_seed)
             model = baselines.DLinearModel(run_cfg.model.lookback, run_cfg.model.channels, rng=rng)
         elif kind.startswith("seizureformer"):
-            model_cfg = dataclasses.replace(run_cfg.model)
-            if suffix := kind[len("seizureformer"):].lstrip("-"):
-                for key, value in ABLATIONS[suffix.replace("no-", "")].items():
-                    setattr(model_cfg, key, value)
+            model_cfg = dataclasses.replace(run_cfg.model, **ABLATIONS.get(kind.removeprefix("seizureformer-no-"), {}))
             model = SeizureFormer(model_cfg, np.random.default_rng(cell_seed))
         else:
             raise ValueError(f"unknown benchmark model {kind!r}")
@@ -315,7 +302,7 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = gradcheck.run_all(epsilon=args.epsilon, threshold=args.threshold)
+    results = gradcheck.run_all()
     failures = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -323,7 +310,7 @@ def cmd_gradcheck(args) -> int:
         print(f"{status} {res.name} max_rel_error={res.max_rel_error:.3e}")
     print(f"{len(results) - failures}/{len(results)} gradient checks passed")
     if failures:
-        raise FloatingPointError(f"{failures} gradient checks exceeded {args.threshold}")
+        raise FloatingPointError(f"{failures} gradient checks exceeded {gradcheck.DEFAULT_THRESHOLD}")
     return 0
 
 
@@ -424,8 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_benchmark)
 
     p = subs.add_parser("gradcheck", help="finite-difference check of ops and model")
-    p.add_argument("--epsilon", type=float, default=gradcheck.DEFAULT_EPSILON)
-    p.add_argument("--threshold", type=float, default=gradcheck.DEFAULT_THRESHOLD)
     p.set_defaults(func=cmd_gradcheck)
 
     p = subs.add_parser("export-plot", help="per-day plot data as CSV plus an SVG figure")

@@ -89,19 +89,7 @@ def _op_checks(rng: np.random.Generator) -> list[tuple[str, object, Tensor]]:
 
 
 def small_model_config() -> ModelConfig:
-    return ModelConfig(
-        lookback=16,
-        channels=2,
-        patch_length=4,
-        stride=2,
-        kernel_sizes=(3, 5),
-        embed_features=3,
-        embed_dim=8,
-        heads=2,
-        encoder_layers=1,
-        ffn_dim=16,
-        dropout_rate=0.2,
-    )
+    return ModelConfig(lookback=16, kernel_sizes=(3, 5), embed_features=3, embed_dim=8, encoder_layers=1, ffn_dim=16)
 
 
 def _model_checks(rng: np.random.Generator) -> list[tuple[str, object, Tensor]]:

@@ -103,8 +103,6 @@ class ModelConfig:
             raise ValueError(f"patch_length {self.patch_length} exceeds lookback {self.lookback}")
         if self.patch_length < 1 or self.stride < 1:
             raise ValueError("patch_length and stride must be >= 1")
-        if self.patch_count < 1:
-            raise ValueError("configuration yields no patches")
         if self.channels < 1:
             raise ValueError("need at least one channel")
         for key in ("embed_dim", "heads"):
@@ -136,16 +134,17 @@ class ModelConfig:
         return VARIANT_NO_CVT
 
 
-def _uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
+def _uniform(rng: np.random.Generator | None, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
     bound = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+    return np.zeros(shape) if rng is None else rng.uniform(-bound, bound, size=shape)
 
 
-def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]:
+def init_params(cfg: ModelConfig, rng: np.random.Generator | None) -> dict[str, Tensor]:
     """Draw all learnable weights in a fixed order so seeds reproduce runs.
 
     Weight matrices and kernels start uniform(-1/sqrt(fan_in), +1/sqrt(fan_in));
-    the positional table and every bias start at zero.
+    the positional table and every bias start at zero.  With no generator every weight
+    is zero too: the names, shapes and order alone, which ``load_checkpoint`` reads against.
     """
     cfg.validate()
     p: dict[str, Tensor] = {}
@@ -351,7 +350,8 @@ class SeizureFormer:
     """Config + parameters bundle with the forward pass bound in."""
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator):
-        config.validate()
+        if rng is None:  # init_params would leave every weight zero
+            raise TypeError("SeizureFormer needs a generator to draw its weights")
         self.config = config
         self.params = init_params(config, rng)
 
@@ -373,14 +373,6 @@ _CHECKPOINT_MAGIC = "risk-model-checkpoint-v3"
 PIPELINE_KEYS = {"label_window": int, "label_fraction": float, "min_history": int, "horizon": int}
 
 
-class _ZeroDraws:
-    """Generator stand-in for when only parameter names and shapes matter
-    (it keeps ``eval`` from importing ``numpy.random``, about 2 MB of RSS)."""
-
-    def uniform(self, low, high, size):
-        return np.zeros(size)
-
-
 def save_checkpoint(path: str | Path, cfg: ModelConfig, params: dict[str, Tensor], pipeline: dict) -> None:
     """Self-describing flat text: pipeline and config lines, then per parameter a
     name/shape line and one base64 line of its little-endian float64 bytes (bit-exact)."""
@@ -395,58 +387,48 @@ def save_checkpoint(path: str | Path, cfg: ModelConfig, params: dict[str, Tensor
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelConfig, dict[str, Tensor], dict]:
-    """Inverse of ``save_checkpoint``: (config, parameters, pipeline settings).
-    The parameter names and shapes must be exactly those ``init_params``
-    makes for the stored config."""
+    """Inverse of ``save_checkpoint``: (config, parameters, pipeline settings).  The file
+    is read against the writer's lines, in the writer's order: the format line, the
+    ``PIPELINE_KEYS``, the config fields, then per entry of ``init_params`` its exact
+    name/shape line and one values line; then the file must end."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if lines[:1] in (["format=risk-model-checkpoint-v1"], ["format=risk-model-checkpoint-v2"]):
         raise ValueError(f"{path} is a {lines[0][-2:]} checkpoint; retrain the model to write v3")
-    if not lines or lines[0] != f"format={_CHECKPOINT_MAGIC}":
-        raise ValueError(f"{path} is not a recognized checkpoint")
-    kinds = {"pipeline": PIPELINE_KEYS, "config": kv.field_types(ModelConfig)}
-    header: dict[str, dict] = {"pipeline": {}, "config": {}}
-    i = 1
-    while i < len(lines) and (section := lines[i].partition(".")[0]) in kinds:
-        key, _, raw = lines[i][len(section) + 1 :].partition("=")
-        if key not in kinds[section]:
-            raise ValueError(f"{path}:{i + 1}: unknown {section} key {key!r}")
-        if key in header[section]:
-            raise ValueError(f"{path}:{i + 1}: repeated {section} key {key!r}")
-        header[section][key] = kv.parse_value(key, raw, kinds[section][key])
-        i += 1
-    for section, values in header.items():
-        if missing := [k for k in kinds[section] if k not in values]:
-            raise ValueError(f"{path}: missing {section} keys {', '.join(missing)}")
-    cfg = ModelConfig(**header["config"])
-    expected = {name: t.shape for name, t in init_params(cfg, _ZeroDraws()).items()}
+    at = 0  # lines read so far
 
-    params: dict[str, Tensor] = {}
-    for n in range(i, len(lines), 2):
-        where = f"{path}:{n + 1}"
-        head, sep, shape_part = lines[n].partition(" shape=")
-        name = head[len("param="):]
-        if not head.startswith("param=") or not sep:
-            raise ValueError(f"{where}: expected 'param=<name> shape=<dims>'")
-        if name not in expected or name in params:
-            raise ValueError(f"{where}: unexpected parameter {name!r} for this config")
-        shape = kv.parse_value(f"{name} shape", shape_part, tuple)
-        if shape != expected[name]:
-            raise ValueError(f"{where}: parameter {name!r} has shape {shape}, the config needs {expected[name]}")
-        if n + 1 == len(lines):
-            raise ValueError(f"{path}: truncated, no values for parameter {name!r}")
+    def expect(head: str, tail: str = "") -> str:
+        """Read the next line, which must start with ``head`` and, unless ``tail`` names
+        what follows it, be nothing else; returns what follows ``head``."""
+        nonlocal at
+        got = lines[at] if at < len(lines) else None
+        at += 1
+        if got is None or not got.startswith(head) or not tail and got != head:
+            shown = "the end of the file" if got is None else repr(got)
+            raise ValueError(f"{path}:{at}: expected {head}{tail}, got {shown}")
+        return got[len(head):]
+
+    def header(section: str, kinds: dict[str, type]) -> dict:
+        return {key: kv.parse_value(key, expect(f"{section}.{key}=", "<value>"), kind) for key, kind in kinds.items()}
+
+    expect(f"format={_CHECKPOINT_MAGIC}")
+    pipeline = header("pipeline", PIPELINE_KEYS)
+    cfg = ModelConfig(**header("config", kv.field_types(ModelConfig)))
+    params = init_params(cfg, None)  # the writer's names, shapes and order, every value zero
+    for name, t in params.items():
+        expect(f"param={name} shape={kv.format_value(t.shape)}")
+        values = expect("", f"the values of parameter {name!r}")
         try:
-            raw = base64.b64decode(lines[n + 1], validate=True)
+            raw = base64.b64decode(values, validate=True)
         except ValueError:  # binascii.Error
-            raise ValueError(f"{path}:{n + 2}: values for parameter {name!r} are not valid base64") from None
-        if len(raw) != 8 * math.prod(shape):
-            raise ValueError(f"{path}:{n + 2}: parameter {name!r} has {len(raw)} bytes, needs {8 * math.prod(shape)}")
-        values = np.frombuffer(raw, "<f8").astype(np.float64)  # a writable, native-order copy
-        if not np.isfinite(values).all():
-            raise ValueError(f"{path}:{n + 2}: parameter {name!r} has a non-finite value")
-        params[name] = Tensor(values.reshape(shape), requires_grad=True)
-    if missing := [name for name in expected if name not in params]:
-        raise ValueError(f"{path}: missing parameters {', '.join(missing)}")
-    return cfg, params, header["pipeline"]
+            raise ValueError(f"{path}:{at}: values for parameter {name!r} are not valid base64") from None
+        if len(raw) != 8 * t.size:
+            raise ValueError(f"{path}:{at}: parameter {name!r} has {len(raw)} bytes, needs {8 * t.size}")
+        t.data[...] = np.frombuffer(raw, "<f8").reshape(t.shape)
+        if not np.isfinite(t.data).all():
+            raise ValueError(f"{path}:{at}: parameter {name!r} has a non-finite value")
+    if at < len(lines):
+        raise ValueError(f"{path}:{at + 1}: expected the end of the file after the last parameter, got {lines[at]!r}")
+    return cfg, params, pipeline
 
 
 def model_from_checkpoint(path: str | Path) -> tuple[SeizureFormer, dict]:

@@ -334,6 +334,14 @@ class TestGradcheckCommand:
         lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("PASS")]
         assert len(lines) > 30
 
+    @pytest.mark.parametrize("flag, value", [("--threshold", "nan"), ("--epsilon", "1e300")])
+    def test_takes_no_flags(self, capsys, flag, value):
+        """The finite-difference step and the threshold are fixed, so a flag for either is a
+        usage error (exit 1), not a numerical failure of a run at an unchecked value (exit 3)."""
+        assert main(["gradcheck", flag, value]) == 1
+        out, err = capsys.readouterr()
+        assert f"unrecognized arguments: {flag} {value}" in err and "gradient checks" not in out
+
     def test_injected_bad_gradient_reported(self, monkeypatch, capsys):
         """A deliberately wrong vjp among the op checks fails the command: exit 3, one
         FAIL line naming it, and every other check passes."""

@@ -1,5 +1,6 @@
 import base64
 import math
+import re
 
 import numpy as np
 import pytest
@@ -692,19 +693,22 @@ class TestCheckpoint:
     def test_unknown_pipeline_key_rejected(self, tmp_path):
         path, lines = self._saved_lines(tmp_path)
         path.write_text("\n".join(l.replace("pipeline.horizon=", "pipeline.horizons=") for l in lines) + "\n")
-        with pytest.raises(ValueError, match="unknown pipeline key 'horizons'"):
+        expected = "m.txt:5: expected pipeline.horizon=<value>, got 'pipeline.horizons=1'"
+        with pytest.raises(ValueError, match=re.escape(expected)):
             load_checkpoint(path)
 
     def test_missing_pipeline_key_rejected(self, tmp_path):
         path, lines = self._saved_lines(tmp_path)
         path.write_text("\n".join(l for l in lines if not l.startswith("pipeline.min_history=")) + "\n")
-        with pytest.raises(ValueError, match="missing pipeline keys min_history"):
+        expected = "m.txt:4: expected pipeline.min_history=<value>, got 'pipeline.horizon=1'"
+        with pytest.raises(ValueError, match=re.escape(expected)):
             load_checkpoint(path)
 
     def test_unknown_config_key_rejected(self, tmp_path):
         path, lines = self._saved_lines(tmp_path)
         path.write_text("\n".join(l.replace("config.use_se=", "config.use_sse=") for l in lines) + "\n")
-        with pytest.raises(ValueError, match="unknown config key 'use_sse'"):
+        expected = "m.txt:21: expected config.use_se=<value>, got 'config.use_sse=true'"
+        with pytest.raises(ValueError, match=re.escape(expected)):
             load_checkpoint(path)
 
     def test_non_bool_flag_rejected(self, tmp_path):
@@ -716,7 +720,8 @@ class TestCheckpoint:
     def test_missing_config_key_rejected(self, tmp_path):
         path, lines = self._saved_lines(tmp_path)
         path.write_text("\n".join(l for l in lines if not l.startswith("config.dropout_rate=")) + "\n")
-        with pytest.raises(ValueError, match="missing config keys dropout_rate"):
+        expected = "m.txt:16: expected config.dropout_rate=<value>, got 'config.cvt_kernel=3,3'"
+        with pytest.raises(ValueError, match=re.escape(expected)):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("section, key", [("pipeline", "horizon"), ("config", "use_se")])
@@ -724,14 +729,16 @@ class TestCheckpoint:
         path, lines = self._saved_lines(tmp_path)
         at = next(n for n, l in enumerate(lines) if l.startswith(f"{section}.{key}="))
         path.write_text("\n".join(lines[: at + 1] + [lines[at]] + lines[at + 1 :]) + "\n")
-        with pytest.raises(ValueError, match=f"m.txt:{at + 2}: repeated {section} key '{key}'"):
+        expected = re.escape(f"m.txt:{at + 2}: expected ") + ".*" + re.escape(f", got {lines[at]!r}")
+        with pytest.raises(ValueError, match=expected):
             load_checkpoint(path)
 
     def test_truncated_file_rejected(self, tmp_path):
         path, lines = self._saved_lines(tmp_path)
         assert lines[-2] == "param=head.bias shape=1"
         path.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(ValueError, match="truncated, no values for parameter 'head.bias'"):
+        expected = f"m.txt:{len(lines)}: expected the values of parameter 'head.bias', got the end of the file"
+        with pytest.raises(ValueError, match=expected):
             load_checkpoint(path)
         at = len(lines) - 3  # the values of the parameter before head.bias, cut mid-line
         path.write_text("\n".join(lines[:at] + [lines[at][: len(lines[at]) // 2]]) + "\n")
@@ -743,18 +750,21 @@ class TestCheckpoint:
         at = lines.index(next(l for l in lines if l.startswith("param=se.w1 ")))
         base64.b64decode(lines[at + 1], validate=True)  # the removed pair is the name line and its values
         path.write_text("\n".join(lines[:at] + lines[at + 2 :]) + "\n")
-        with pytest.raises(ValueError, match="missing parameters se.w1"):
+        expected = f"m.txt:{at + 1}: expected param=se.w1 shape=2,2, got 'param=se.w2 shape=2,2'"
+        with pytest.raises(ValueError, match=re.escape(expected)):
             load_checkpoint(path)
 
     def test_wrong_shape_rejected(self, tmp_path):
         path, lines = self._saved_lines(tmp_path)
         path.write_text("\n".join(l.replace("param=head.bias shape=1", "param=head.bias shape=1,1") for l in lines) + "\n")
-        with pytest.raises(ValueError, match="'head.bias' has shape"):
+        expected = "m.txt:72: expected param=head.bias shape=1, got 'param=head.bias shape=1,1'"
+        with pytest.raises(ValueError, match=re.escape(expected)):
             load_checkpoint(path)
         # a transposed shape has the right byte count and must still be refused
         at = lines.index("param=head.weight shape=112,1")
         path.write_text("\n".join(lines[:at] + ["param=head.weight shape=1,112"] + lines[at + 1 :]) + "\n")
-        with pytest.raises(ValueError, match=f"m.txt:{at + 1}: parameter 'head.weight' has shape"):
+        expected = f"m.txt:{at + 1}: expected param=head.weight shape=112,1, got 'param=head.weight shape=1,112'"
+        with pytest.raises(ValueError, match=re.escape(expected)):
             load_checkpoint(path)
 
     @staticmethod
@@ -802,3 +812,45 @@ class TestCheckpoint:
             save_checkpoint(path, other.config, other.params, PIPELINE)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.txt"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["delete", "duplicate", "swap", "truncate"]), at=st.integers(0, 72))
+    @example(kind="swap", at=1)  # two pipeline lines
+    @example(kind="swap", at=18)  # two config lines
+    @example(kind="truncate", at=0)
+    def test_one_line_mutation_refused_at_its_line(self, tmp_path_factory, kind, at):
+        """Deleting a line, duplicating it, swapping it with the next one or ending the file
+        there is refused, naming the first line that differs from what the writer puts down."""
+        path, lines = self._saved_lines(tmp_path_factory.mktemp("ckpt"))
+        assert len(lines) == 73
+        mutant, line = list(lines), at + 1
+        if kind == "delete":
+            del mutant[at]
+        elif kind == "duplicate":
+            mutant.insert(at, lines[at])
+            line = at + 2
+        elif kind == "swap":
+            at = min(at, len(lines) - 2)
+            mutant[at : at + 2], line = [lines[at + 1], lines[at]], at + 1
+        else:
+            del mutant[at:]
+        path.write_text("".join(l + "\n" for l in mutant))
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: ")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("cfg", [
+        ModelConfig(), ModelConfig.reference_preset(), ModelConfig(use_cnn_embed=False, use_cvt=False, use_se=False),
+    ], ids=["default", "reference", "all_ablated"])
+    def test_save_load_save_same_bytes(self, tmp_path, cfg):
+        model = SeizureFormer(cfg, np.random.default_rng(12))
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        save_checkpoint(a, cfg, model.params, PIPELINE)
+        save_checkpoint(b, *load_checkpoint(a))
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_model_refuses_a_missing_generator(self):
+        """init_params(cfg, None) is the all-zero layout the loader reads against; a model
+        built without a generator must raise rather than start from it."""
+        assert all(not t.data.any() for name, t in init_params(ModelConfig(**TINY), None).items() if "gamma" not in name)
+        with pytest.raises(TypeError, match="generator"):
+            SeizureFormer(ModelConfig(**TINY), None)
